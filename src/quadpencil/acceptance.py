@@ -57,14 +57,14 @@ from .quadspace import (
 
 # ---------------------------------------------------------------- generators
 
-def _random_monic_separable(rng, n):
+def random_monic_separable(rng, n):
     while True:
         g = Poly([Fraction(rng.randint(-5, 5)) for _ in range(n)] + [Fraction(1)])
         if is_squarefree(g):
             return g
 
 
-def _random_integral_form(rng, n, lo=-6, hi=6):
+def random_integral_form(rng, n, lo=-6, hi=6):
     while True:
         cs = [rng.randint(lo, hi) for _ in range(n + 1)]
         if cs[0] == 0:
@@ -74,10 +74,10 @@ def _random_integral_form(rng, n, lo=-6, hi=6):
             return f
 
 
-def _random_param(rng, n):
+def random_param(rng, n):
     """Valid (f, p): f0 = s^2 N(alpha), t = s N(alpha), so t^2 = f0 N(alpha)."""
     while True:
-        g = _random_monic_separable(rng, n)
+        g = random_monic_separable(rng, n)
         L = EtaleAlgebra(g)
         alpha = L.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
         if not alpha.is_unit:
@@ -90,7 +90,7 @@ def _random_param(rng, n):
         return f, OrbitParam(L, alpha, s * alpha.norm())
 
 
-def _unimodular(rng, n, steps=6):
+def unimodular(rng, n, steps=6):
     U = identity(n)
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
@@ -115,7 +115,7 @@ def c01_round_trip(rng):
     """Param -> pencil -> param closes up to equivalence, witness verified."""
     for n in (2, 3, 4, 5):
         for _ in range(25):
-            f, p = _random_param(rng, n)
+            f, p = random_param(rng, n)
             pair = param_to_pencil(f, p)
             assert invariant_binary_form(pair) == f
             q = pencil_to_param(pair)
@@ -129,8 +129,8 @@ def c02_t_squared(rng):
     """t^2 = f0 N(alpha) exactly on extractions from transformed pencils."""
     for n in (2, 3, 4, 5):
         for _ in range(25):
-            f, p = _random_param(rng, n)
-            pair = param_to_pencil(f, p).transformed(_unimodular(rng, n))
+            f, p = random_param(rng, n)
+            pair = param_to_pencil(f, p).transformed(unimodular(rng, n))
             q = pencil_to_param(pair)
             f2 = invariant_binary_form(pair)
             assert q.t ** 2 == f2.f0 * q.alpha.norm()
@@ -140,7 +140,7 @@ def c03_stabilizer(rng):
     """Order 2^(r-1) or 2^r, elements fix the pair, square to I, det 1."""
     for n in (2, 3, 4, 5):
         for _ in range(50):
-            f, p = _random_param(rng, n)
+            f, p = random_param(rng, n)
             pair = param_to_pencil(f, p)
             S = stabilizer_rational(pair)
             factors = factor_poly(f.monic_part())
@@ -162,7 +162,7 @@ def c04_order_disc(rng):
     """disc of the trace form on R_f equals disc(f), 100 integral forms."""
     for n in (2, 3, 4, 5):
         for _ in range(25):
-            f = _random_integral_form(rng, n)
+            f = random_integral_form(rng, n)
             assert order_disc(form_order(f)) == f.disc()
 
 
@@ -170,7 +170,7 @@ def c05_power_ideals(rng):
     """I_f(k) = I_f(1)^k with signed norm 1/f0^k, n up to 6."""
     for n in range(2, 7):
         for _ in range(8):
-            f = _random_integral_form(rng, n)
+            f = random_integral_form(rng, n)
             O = form_order(f)
             I1 = power_ideal(O, 1)
             for k in range(n):
@@ -188,7 +188,7 @@ def c06_module_reconstruction(rng):
     assert invariant_binary_form(pair) == f
     for n in (3, 5):
         for _ in range(25):
-            f = _random_integral_form(rng, n, lo=-4, hi=4)
+            f = random_integral_form(rng, n, lo=-4, hi=4)
             O = form_order(f)
             pair, I, alpha = canonical_odd_orbit(O)
             for row in pair.A + pair.B:
@@ -204,7 +204,7 @@ def c07_hyperelliptic(rng):
     done = 0
     while done < 50:
         n = rng.randint(2, 5)
-        g = _random_monic_separable(rng, n)
+        g = random_monic_separable(rng, n)
         u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if g(u) == 0:
             continue
@@ -227,7 +227,7 @@ def c08_real_obstruction(rng):
     assert orbit_witness_search(f, 100) is None
     for _ in range(50):
         n = rng.randint(2, 5)
-        g = _random_monic_separable(rng, n)
+        g = random_monic_separable(rng, n)
         f = BinaryForm.from_monic_part(Fraction(rng.randint(1, 9)), g)
         assert not real_orbit_obstruction(f)
 
@@ -365,7 +365,7 @@ def c11_pfaffian(rng):
                        _random_skew(rng, 5, -4, 4))
         pi = pi_invariant(v)
         for _ in range(20):
-            g = _unimodular(rng, 5, steps=5)
+            g = unimodular(rng, 5, steps=5)
             assert det(g) == 1
             assert pi_invariant(v.transformed(g)) == pi
 
@@ -395,7 +395,7 @@ def c13_euler(rng):
     """Tr(beta^j / g'(beta)) = [j = n-1] for 50 random separable g."""
     for _ in range(50):
         n = rng.randint(2, 6)
-        g = _random_monic_separable(rng, n)
+        g = random_monic_separable(rng, n)
         L = EtaleAlgebra(g)
         dginv = L.from_poly(g.derivative()).inverse()
         for j in range(n):

@@ -64,7 +64,8 @@ class BinaryForm:
     def from_monic_part(cls, f0, g: Poly):
         """Form with given f0 whose dehomogenization is f0 * g, g monic."""
         f0 = Fraction(f0)
-        assert g.lc == 1
+        if g.lc != 1:
+            raise DomainError("g must be monic")
         return cls([f0 * g[g.degree - i] for i in range(g.degree + 1)])
 
     def scaled(self, c):

@@ -9,7 +9,6 @@ precondition.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .adjoint import (
@@ -67,13 +66,6 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _parse_rat(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise PayloadError("bad rational %r" % (text,)) from exc
-
-
 # ---------------------------------------------------------------- pencil
 
 def cmd_pencil_invariant(args):
@@ -89,20 +81,18 @@ def cmd_pencil_to_param(args):
 
 def cmd_pencil_from_param(args):
     f = jsonio.parse_form_arg(args.f)
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"alpha", "t"} <= set(obj):
-        raise PayloadError("expected {\"alpha\", \"t\"}")
+    alpha, t = jsonio.fields(_payload(args), "alpha", "t")
     L = EtaleAlgebra(f.monic_part())
-    p = OrbitParam(L, L.element(jsonio.json_to_vec(obj["alpha"])), jsonio.json_to_rat(obj["t"]))
+    p = OrbitParam(L, L.element(jsonio.json_to_vec(alpha)), jsonio.json_to_rat(t))
     _emit(jsonio.pair_to_json(param_to_pencil(f, p)))
 
 
+def _param_pair(args):
+    return [jsonio.json_to_param(p) for p in jsonio.fields(_payload(args), "p1", "p2")]
+
+
 def cmd_pencil_equiv(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"p1", "p2"} <= set(obj):
-        raise PayloadError("expected {\"p1\", \"p2\"}")
-    p1 = jsonio.json_to_param(obj["p1"])
-    p2 = jsonio.json_to_param(obj["p2"])
+    p1, p2 = _param_pair(args)
     c = g_equivalent(p1, p2)
     out = {"equivalent": c is not None}
     if c is not None:
@@ -111,12 +101,8 @@ def cmd_pencil_equiv(args):
 
 
 def cmd_pencil_h_equiv(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"p1", "p2"} <= set(obj):
-        raise PayloadError("expected {\"p1\", \"p2\"}")
-    p1 = jsonio.json_to_param(obj["p1"])
-    p2 = jsonio.json_to_param(obj["p2"])
-    extra = tuple(int(x) for x in args.primes.split(",")) if args.primes else ()
+    p1, p2 = _param_pair(args)
+    extra = jsonio.parse_primes_arg(args.primes)
     res = h_equivalent(p1, p2, extra_primes=extra)
     out = {"equivalent": res is not None}
     if res is not None:
@@ -146,7 +132,7 @@ def cmd_pencil_real_obstruction(args):
 
 def cmd_pencil_search(args):
     f = jsonio.parse_form_arg(args.f)
-    p = orbit_witness_search(f, args.bound)
+    p = orbit_witness_search(f, jsonio.parse_int_arg(args.bound, "--bound", lo=0))
     if p is None:
         _emit({"found": False, "real_obstruction": real_orbit_obstruction(f)})
     else:
@@ -190,11 +176,9 @@ def cmd_integral_ideal(args):
 
 def cmd_integral_wood(args):
     O = form_order(jsonio.parse_form_arg(args.f))
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"ideal", "alpha"} <= set(obj):
-        raise PayloadError("expected {\"ideal\", \"alpha\"}")
-    I = jsonio.json_to_ideal(O, obj["ideal"])
-    alpha = O.algebra.element(jsonio.json_to_vec(obj["alpha"]))
+    ideal, alpha = jsonio.fields(_payload(args), "ideal", "alpha")
+    I = jsonio.json_to_ideal(O, ideal)
+    alpha = O.algebra.element(jsonio.json_to_vec(alpha))
     pair = ideal_pair_to_matrices(O, I, alpha)
     gamma, t = rational_params_of_pair(O, I, alpha)
     out = jsonio.pair_to_json(pair)
@@ -227,7 +211,7 @@ def cmd_hyper(args):
     parts = args.point.split(",")
     if len(parts) != 2:
         raise PayloadError("--point must be u,v")
-    pt = CurvePoint(_parse_rat(parts[0]), _parse_rat(parts[1]))
+    pt = CurvePoint(jsonio.json_to_rat(parts[0]), jsonio.json_to_rat(parts[1]))
     _emit(jsonio.param_to_json(point_to_orbit(f, pt)))
 
 
@@ -235,25 +219,22 @@ def cmd_hyper(args):
 
 def cmd_quad_iso(args):
     q = jsonio.json_to_quadform(_payload(args))
+    bound = jsonio.parse_int_arg(args.bound, "--bound", lo=0)
     out = {"isotropic": is_isotropic(q)}
-    if args.bound:
-        w = isotropy_witness(q, args.bound)
-        out["witness"] = w
+    if bound:
+        out["witness"] = isotropy_witness(q, bound)
     _emit(out)
 
 
 def cmd_quad_equiv(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"q1", "q2"} <= set(obj):
-        raise PayloadError("expected {\"q1\", \"q2\"}")
-    q1 = jsonio.json_to_quadform(obj["q1"])
-    q2 = jsonio.json_to_quadform(obj["q2"])
+    q1, q2 = (jsonio.json_to_quadform(q) for q in jsonio.fields(_payload(args), "q1", "q2"))
     _emit({"equivalent": forms_equivalent(q1, q2)})
 
 
 def cmd_quad_hilbert(args):
-    place = jsonio.json_to_place(args.place if args.place == "oo" else int(args.place))
-    _emit({"symbol": hilbert_symbol(_parse_rat(args.a), _parse_rat(args.b), place)})
+    place = jsonio.parse_place_arg(args.place)
+    a, b = jsonio.json_to_rat(args.a), jsonio.json_to_rat(args.b)
+    _emit({"symbol": hilbert_symbol(a, b, place)})
 
 
 def cmd_quad_spin(args):
@@ -262,20 +243,16 @@ def cmd_quad_spin(args):
 
 
 def cmd_quad_gram(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"space", "vectors"} <= set(obj):
-        raise PayloadError("expected {\"space\", \"vectors\"}")
-    space = jsonio.json_to_quadform(obj["space"])
-    vectors = [jsonio.json_to_vec(v) for v in obj["vectors"]]
+    space, vectors = jsonio.fields(_payload(args), "space", "vectors")
+    if not isinstance(vectors, list):
+        raise PayloadError("expected a list of vectors")
+    space = jsonio.json_to_quadform(space)
+    vectors = [jsonio.json_to_vec(v) for v in vectors]
     _emit(jsonio.quadform_to_json(gram_invariant(space, vectors)))
 
 
 def cmd_quad_lift(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"f", "space"} <= set(obj):
-        raise PayloadError("expected {\"f\", \"space\"}")
-    f = jsonio.json_to_quadform(obj["f"])
-    space = jsonio.json_to_quadform(obj["space"])
+    f, space = (jsonio.json_to_quadform(q) for q in jsonio.fields(_payload(args), "f", "space"))
     target, lifts = so_orbit_target(f, space)
     _emit({"lifts": lifts, "target": jsonio.mat_to_json(target.gram)})
 
@@ -283,14 +260,8 @@ def cmd_quad_lift(args):
 # ---------------------------------------------------------------- pf
 
 def _triple(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"A", "B", "C"} <= set(obj):
-        raise PayloadError("expected {\"A\", \"B\", \"C\"}")
-    return SkewTriple(
-        jsonio.json_to_mat(obj["A"]),
-        jsonio.json_to_mat(obj["B"]),
-        jsonio.json_to_mat(obj["C"]),
-    )
+    mats = jsonio.fields(_payload(args), "A", "B", "C")
+    return SkewTriple(*(jsonio.json_to_mat(M) for M in mats))
 
 
 def cmd_pf_pfaffian(args):
@@ -319,7 +290,7 @@ def cmd_pf_stable(args):
 # ---------------------------------------------------------------- adj
 
 def cmd_adj_inv(args):
-    T = jsonio.json_to_mat(_payload(args))
+    T = jsonio.json_to_mat(_payload(args), square=True)
     inv = adjoint_invariants(T)
     _emit(
         {
@@ -331,19 +302,14 @@ def cmd_adj_inv(args):
 
 
 def cmd_adj_canon(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"c", "a"} <= set(obj):
-        raise PayloadError("expected {\"c\", \"a\"}")
-    inv = AdjointInvariants(jsonio.json_to_vec(obj["c"]), jsonio.json_to_vec(obj["a"]))
+    c, a = jsonio.fields(_payload(args), "c", "a")
+    inv = AdjointInvariants(jsonio.json_to_vec(c), jsonio.json_to_vec(a))
     _emit({"T": jsonio.mat_to_json(adjoint_canonical_rep(inv))})
 
 
 def cmd_adj_conj(args):
-    obj = _payload(args)
-    if not isinstance(obj, dict) or not {"T", "Tprime"} <= set(obj):
-        raise PayloadError("expected {\"T\", \"Tprime\"}")
-    T = jsonio.json_to_mat(obj["T"])
-    Tp = jsonio.json_to_mat(obj["Tprime"])
+    T, Tp = (jsonio.json_to_mat(M, square=True)
+             for M in jsonio.fields(_payload(args), "T", "Tprime"))
     g = adjoint_conjugator(T, Tp)
     _emit({"g": jsonio.mat_to_json(g), "unique": conjugator_is_unique(T, Tp)})
 
@@ -375,7 +341,7 @@ def build_parser():
             p.add_argument("--f", required=True,
                            help="form coefficients f0..fn, comma separated")
         if bound is not None:
-            p.add_argument("--bound", type=int, default=bound)
+            p.add_argument("--bound", default=bound)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if json_in:
@@ -405,11 +371,8 @@ def build_parser():
     add(integral, "canonical", cmd_integral_canonical, f=True)
     add(integral, "different", cmd_integral_different, f=True)
 
-    hyper_p = sub.add_parser("hyper")
-    hyper_p.add_argument("--f", required=True,
-                         help="form coefficients f0..fn, comma separated")
-    hyper_p.add_argument("--point", required=True, help="u,v")
-    hyper_p.set_defaults(func=cmd_hyper)
+    add(sub, "hyper", cmd_hyper, f=True,
+        extra=(("--point", {"required": True, "help": "u,v"}),))
 
     quad = sub.add_parser("quad").add_subparsers(dest="cmd", required=True)
     add(quad, "iso", cmd_quad_iso, json_in=True, bound=0)

@@ -236,10 +236,6 @@ class AlgElement:
         return "AlgElement(%s)" % (tuple(str(c) for c in self.coords),)
 
 
-def make_algebra(g: Poly) -> EtaleAlgebra:
-    return EtaleAlgebra(g)
-
-
 def euler_trace_solve(A: EtaleAlgebra, targets):
     """The unique kappa with Tr(kappa * beta^i / g'(beta)) = targets[i], all i < n.
 

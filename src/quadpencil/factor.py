@@ -249,12 +249,6 @@ def _symmetric(f, m):
     return [c - m if c > half else c for c in f]
 
 
-def _int_divmod(f, g):
-    """Exact-or-fail division in Q[x] restricted to integer inputs."""
-    q, r = Poly(f).divmod(Poly(g))
-    return q, r
-
-
 def _primitive(f):
     from math import gcd
     g = 0
@@ -316,7 +310,7 @@ def _zassenhaus(F, rng):
             G = _primitive(_symmetric(G, P))
             if G[-1] < 0:
                 G = [-c for c in G]
-            q, r = _int_divmod(f_cur, G)
+            q, r = Poly(f_cur).divmod(Poly(G))
             if r.is_zero and all(c.denominator == 1 for c in q.coeffs):
                 result.append(G)
                 f_cur = [int(c) for c in q.coeffs]

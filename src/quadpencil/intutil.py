@@ -12,7 +12,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24, probabilistic above."""
+    """Miller-Rabin with the fixed bases 2..37 (the first 12 primes).
+
+    Proven correct for n < 3,317,044,064,679,887,385,961,981 (about 3.3e24).
+    Above that bound the same fixed test runs: it is neither a proof nor a
+    randomized test, so a True there is unproven.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -23,7 +28,6 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # this base set is proven sufficient below 3,317,044,064,679,887,385,961,981
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -45,18 +49,6 @@ def next_prime(n: int) -> int:
     while not is_prime(k):
         k += 1 if k == 2 else 2
     return k
-
-
-def primes_up_to(n: int) -> list:
-    """Sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

@@ -9,8 +9,8 @@ basis, and the real place is spelled "oo".
 from fractions import Fraction
 
 from .binforms import BinaryForm
-from .errors import DomainError
 from .etale import EtaleAlgebra
+from .intutil import is_prime
 from .orders import OrientedIdeal, Order
 from .pencil import OrbitParam, SymPair
 from .polys import Poly
@@ -19,6 +19,13 @@ from .quadspace import REAL_PLACE, BrauerClass2, QuadForm
 
 class PayloadError(ValueError):
     """Input that does not match the documented JSON schema."""
+
+
+def fields(obj, *keys):
+    """[obj[k] for k in keys] for a JSON object that must carry every key."""
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise PayloadError("expected {%s}" % ", ".join('"%s"' % k for k in keys))
+    return [obj[k] for k in keys]
 
 
 def rat_to_json(x) -> str:
@@ -55,21 +62,19 @@ def mat_to_json(M):
     return [vec_to_json(row) for row in M]
 
 
-def json_to_mat(M):
+def json_to_mat(M, square=False):
     if not isinstance(M, list) or not M:
         raise PayloadError("expected a nonempty matrix")
     rows = [json_to_vec(row) for row in M]
     if len({len(r) for r in rows}) != 1:
         raise PayloadError("ragged matrix")
+    if square and len(rows[0]) != len(rows):
+        raise PayloadError("expected a square matrix")
     return rows
 
 
 def form_to_json(f: BinaryForm):
     return {"f": vec_to_json(f.coeffs)}
-
-
-def json_to_form(v) -> BinaryForm:
-    return BinaryForm(json_to_vec(v))
 
 
 def parse_form_arg(text: str) -> BinaryForm:
@@ -79,6 +84,31 @@ def parse_form_arg(text: str) -> BinaryForm:
     except (ValueError, ZeroDivisionError) as exc:
         raise PayloadError("bad coefficient list %r" % (text,)) from exc
     return BinaryForm(coeffs)
+
+
+def parse_int_arg(text, name, lo=None) -> int:
+    """An integer flag value, at least lo when lo is given."""
+    try:
+        v = int(text)
+    except ValueError as exc:
+        raise PayloadError("%s must be an integer, not %r" % (name, text)) from exc
+    if lo is not None and v < lo:
+        raise PayloadError("%s must be at least %d" % (name, lo))
+    return v
+
+
+def parse_primes_arg(text: str) -> tuple:
+    """Comma-separated primes; the empty string gives none."""
+    ps = tuple(parse_int_arg(part, "--primes") for part in text.split(",")) if text else ()
+    for p in ps:
+        if not is_prime(p):
+            raise PayloadError("--primes: %d is not a prime" % p)
+    return ps
+
+
+def parse_place_arg(text: str):
+    """--place: "oo" for the real place, otherwise an integer."""
+    return REAL_PLACE if text == "oo" else parse_int_arg(text, "--place")
 
 
 def poly_to_json(p: Poly):
@@ -96,9 +126,8 @@ def pair_to_json(pair: SymPair):
 
 
 def json_to_pair(obj) -> SymPair:
-    if not isinstance(obj, dict) or "A" not in obj or "B" not in obj:
-        raise PayloadError("expected {\"A\": matrix, \"B\": matrix}")
-    return SymPair(json_to_mat(obj["A"]), json_to_mat(obj["B"]))
+    A, B = fields(obj, "A", "B")
+    return SymPair(json_to_mat(A), json_to_mat(B))
 
 
 def param_to_json(p: OrbitParam):
@@ -110,12 +139,9 @@ def param_to_json(p: OrbitParam):
 
 
 def json_to_param(obj) -> OrbitParam:
-    if not isinstance(obj, dict) or not {"g", "alpha", "t"} <= set(obj):
-        raise PayloadError("expected {\"g\", \"alpha\", \"t\"}")
-    g = json_to_poly(obj["g"])
-    L = EtaleAlgebra(g)
-    alpha = L.element(json_to_vec(obj["alpha"]))
-    return OrbitParam(L, alpha, json_to_rat(obj["t"]))
+    g, alpha, t = fields(obj, "g", "alpha", "t")
+    L = EtaleAlgebra(json_to_poly(g))
+    return OrbitParam(L, L.element(json_to_vec(alpha)), json_to_rat(t))
 
 
 def ideal_to_json(I: OrientedIdeal):
@@ -127,13 +153,9 @@ def ideal_to_json(I: OrientedIdeal):
 
 
 def json_to_ideal(order: Order, obj) -> OrientedIdeal:
-    if not isinstance(obj, dict) or not {"den", "mat", "eps"} <= set(obj):
-        raise PayloadError("expected {\"den\", \"mat\", \"eps\"}")
-    den = obj["den"]
-    eps = obj["eps"]
+    den, rows, eps = fields(obj, "den", "mat", "eps")
     if not isinstance(den, int) or den <= 0 or eps not in (1, -1):
         raise PayloadError("den must be a positive integer, eps +1 or -1")
-    rows = obj["mat"]
     if not isinstance(rows, list) or any(
         not isinstance(r, list) or any(not isinstance(x, int) for x in r) for r in rows
     ):
@@ -147,14 +169,6 @@ def place_to_json(v):
     return "oo" if v == REAL_PLACE else v
 
 
-def json_to_place(v):
-    if v == "oo":
-        return REAL_PLACE
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise PayloadError("place must be \"oo\" or a prime")
-
-
 def brauer_to_json(b: BrauerClass2):
     body = sorted(b.places, key=lambda v: (v != REAL_PLACE, v))
     return {"ramified": [place_to_json(v) for v in body]}
@@ -166,10 +180,5 @@ def quadform_to_json(q: QuadForm):
 
 def json_to_quadform(obj) -> QuadForm:
     if isinstance(obj, dict):
-        if "gram" not in obj:
-            raise PayloadError("expected {\"gram\": matrix}")
-        obj = obj["gram"]
-    try:
-        return QuadForm(json_to_mat(obj))
-    except DomainError:
-        raise
+        (obj,) = fields(obj, "gram")
+    return QuadForm(json_to_mat(obj))

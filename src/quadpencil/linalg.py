@@ -18,20 +18,12 @@ def identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
 def mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale(A, c):
@@ -52,21 +44,6 @@ def mat_vec(A, v):
 
 def vec_mat(v, A):
     return [sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0]))]
-
-
-def mat_pow(A, k):
-    out = identity(len(A))
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
-def mat_eq(A, B):
-    return A == B
 
 
 def det(A):
@@ -93,79 +70,17 @@ def det(A):
     return sign * d
 
 
-def solve(A, b):
-    """Solve A x = b for square invertible A; b a vector."""
-    n = len(A)
-    M = [
-        [Fraction(x) for x in row] + [bb]
-        for row, bb in zip(A, [Fraction(x) for x in b])
-    ]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise DomainError("singular matrix in solve")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [M[i][n] for i in range(n)]
+def _reduce(M, ncols):
+    """Gauss-Jordan on the first ncols columns of M, in place; returns pivot columns.
 
-
-def inverse(A):
-    n = len(A)
-    M = [
-        [Fraction(x) for x in row] + ident_row[:]
-        for row, ident_row in zip(A, identity(n))
-    ]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            raise DomainError("matrix not invertible")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c] != 0:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [row[n:] for row in M]
-
-
-def rank(A):
-    if not A:
-        return 0
-    M = [[Fraction(x) for x in row] for row in A]
-    m, n = len(M), len(M[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
+    Rows of M are Fractions; afterwards M is in reduced row echelon form there.
+    """
+    m = len(M)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
         if r == m:
             break
-    return r
-
-
-def nullspace(A):
-    """Basis (list of vectors) of the right kernel of A."""
-    if not A:
-        return []
-    M = [[Fraction(x) for x in row] for row in A]
-    m, n = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(n):
         piv = next((i for i in range(r, m) if M[i][c] != 0), None)
         if piv is None:
             continue
@@ -177,12 +92,43 @@ def nullspace(A):
                 f = M[i][c]
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
         pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    return pivots
+
+
+def solve(A, b):
+    """Solve A x = b for square invertible A; b a vector."""
+    n = len(A)
+    M = [
+        [Fraction(x) for x in row] + [bb]
+        for row, bb in zip(A, [Fraction(x) for x in b])
+    ]
+    if len(_reduce(M, n)) < n:
+        raise DomainError("singular matrix in solve")
+    return [M[i][n] for i in range(n)]
+
+
+def inverse(A):
+    n = len(A)
+    M = [
+        [Fraction(x) for x in row] + ident_row
+        for row, ident_row in zip(A, identity(n))
+    ]
+    if len(_reduce(M, n)) < n:
+        raise DomainError("matrix not invertible")
+    return [row[n:] for row in M]
+
+
+def nullspace(A):
+    """Basis (list of vectors) of the right kernel of A."""
+    if not A:
+        return []
+    M = [[Fraction(x) for x in row] for row in A]
+    n = len(M[0])
+    pivots = _reduce(M, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):

@@ -90,7 +90,8 @@ class OrientedIdeal:
     __slots__ = ("order", "den", "mat", "eps")
 
     def __init__(self, order, den, mat, eps):
-        assert eps in (1, -1) and den > 0
+        if eps not in (1, -1) or den <= 0:
+            raise DomainError("ideal needs eps = +1 or -1 and a positive denominator")
         g = den
         for row in mat:
             for x in row:
@@ -160,12 +161,9 @@ def unit_ideal(order: Order) -> OrientedIdeal:
 
 def power_ideal(order: Order, k: int) -> OrientedIdeal:
     """I_f(k), 0 <= k <= n-1; signed norm 1/f0^k."""
-    n = order.n
-    if not 0 <= k <= n - 1:
+    if not 0 <= k <= order.n - 1:
         raise DomainError("k out of range")
-    L = order.algebra
-    elems = [L.beta_pow(j) for j in range(k + 1)] + [order.basis[j] for j in range(k + 1, n)]
-    ideal = _ideal_from_elements(order, elems)
+    ideal = _ideal_from_elements(order, _natural_basis(order, k))
     assert ideal.norm() == Fraction(1) / order.f.f0**k
     return ideal
 
@@ -203,12 +201,10 @@ def module_stable(I: OrientedIdeal) -> bool:
     )
 
 
-def _expansion_basis(order, k):
-    """Power coords matrix of the natural basis of I_f(k) (rows)."""
-    n = order.n
+def _natural_basis(order, k):
+    """1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1): the basis of I_f(k)."""
     L = order.algebra
-    elems = [L.beta_pow(j) for j in range(k + 1)] + [order.basis[j] for j in range(k + 1, n)]
-    return [list(e.coords) for e in elems]
+    return [L.beta_pow(j) for j in range(k + 1)] + list(order.basis[k + 1:])
 
 
 def ideal_pair_valid(order: Order, I: OrientedIdeal, alpha):
@@ -240,8 +236,7 @@ def ideal_pair_to_matrices(order: Order, I: OrientedIdeal, alpha) -> SymPair:
     if not ok:
         raise DomainError(msg)
     n = order.n
-    W = _expansion_basis(order, n - 3)
-    Winv = inverse(W)
+    Winv = inverse([e.coords for e in _natural_basis(order, n - 3)])
     bs = I.oriented_basis()
     ainv = alpha.inverse()
     A = [[None] * n for _ in range(n)]
@@ -294,8 +289,7 @@ def inverse_different_check(order: Order):
     fpinv = fprime.inverse()
     Ddual = scalar_ideal(fpinv, power_ideal(order, n - 2))
     contained = all(Ddual.contains(b) for b in order.basis)
-    W = _expansion_basis(order, n - 2)
-    Winv = inverse(W)
+    Winv = inverse([e.coords for e in _natural_basis(order, n - 2)])
     for lam in order.basis:
         for mu in order.basis:
             prod = lam * mu

@@ -10,7 +10,7 @@ when det(pi) is nonzero.
 from fractions import Fraction
 
 from .errors import DomainError
-from .linalg import det, mat
+from .linalg import congruence, det, mat, transpose
 
 MONOMIALS = ("x2", "y2", "z2", "xy", "xz", "yz")
 
@@ -67,14 +67,8 @@ class SkewTriple:
 
     def transformed(self, g):
         """The action v -> (g A g^T, g B g^T, g C g^T)."""
-        g = mat(g)
-        gT = [list(col) for col in zip(*g)]
-
-        def act(M):
-            gM = [[sum(g[i][k] * M[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
-            return [[sum(gM[i][k] * gT[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
-
-        return SkewTriple(act(self.A), act(self.B), act(self.C))
+        gT = transpose(mat(g))
+        return SkewTriple(*(congruence(gT, M) for M in (self.A, self.B, self.C)))
 
 
 def _lin_mul(u, v):

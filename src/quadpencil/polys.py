@@ -99,7 +99,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise DomainError("negative polynomial power")
         out = Poly([1])
         base = self
         while k:

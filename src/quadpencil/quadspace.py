@@ -8,9 +8,17 @@ principle over the finite certified place set {0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .errors import DomainError
-from .intutil import factorint, is_prime, is_square_rational, squarefree_part, valuation
+from .intutil import (
+    factorint,
+    is_prime,
+    is_square_rational,
+    rational_sqrt,
+    squarefree_part,
+    valuation,
+)
 from .linalg import congruence, det, identity, is_symmetric, mat, mat_vec
 
 REAL_PLACE = 0
@@ -55,7 +63,6 @@ def _require_nondegenerate(q):
 
 def diagonalize(q: QuadForm):
     """(entries, P) with P^T G P = diag(entries), entries squarefree integers."""
-    _require_nondegenerate(q)
     n = q.dim
     G = [row[:] for row in q.gram]
     P = identity(n)
@@ -96,9 +103,6 @@ def diagonalize(q: QuadForm):
         s = squarefree_part(d)
         # scale column so the diagonal entry becomes its squarefree part
         c2 = Fraction(s) / d
-        assert is_square_rational(c2)
-        from .intutil import rational_sqrt
-
         c = rational_sqrt(c2)
         for r in range(n):
             P[r][i] *= c
@@ -141,8 +145,7 @@ def hilbert_symbol(a, b, place) -> int:
     return s
 
 
-def hasse_invariant(q: QuadForm, place) -> int:
-    entries, _ = diagonalize(q)
+def _hasse(entries, place) -> int:
     s = 1
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -150,19 +153,29 @@ def hasse_invariant(q: QuadForm, place) -> int:
     return s
 
 
-def certified_places(q: QuadForm):
-    """{0, 2, odd primes dividing the squarefree diagonal}: symbols are 1 elsewhere."""
-    entries, _ = diagonalize(q)
+def _places(entries):
     places = {REAL_PLACE, 2}
     for d in entries:
         places.update(factorint(abs(d)))
     return places
 
 
-def signature(q: QuadForm):
-    entries, _ = diagonalize(q)
+def _signature(entries):
     pos = sum(1 for d in entries if d > 0)
     return pos, len(entries) - pos
+
+
+def hasse_invariant(q: QuadForm, place) -> int:
+    return _hasse(diagonalize(q)[0], place)
+
+
+def certified_places(q: QuadForm):
+    """{0, 2, odd primes dividing the squarefree diagonal}: symbols are 1 elsewhere."""
+    return _places(diagonalize(q)[0])
+
+
+def signature(q: QuadForm):
+    return _signature(diagonalize(q)[0])
 
 
 def _local_square(d, place) -> bool:
@@ -181,33 +194,29 @@ def _local_square(d, place) -> bool:
 
 def is_isotropic(q: QuadForm) -> bool:
     """Does q represent zero nontrivially over the rationals?"""
-    _require_nondegenerate(q)
     entries, _ = diagonalize(q)
     n = len(entries)
     if n <= 1:
         return False
     if n == 2:
         return is_square_rational(Fraction(-entries[0] * entries[1]))
-    d = 1
-    for x in entries:
-        d *= x
-    places = certified_places(q)
+    d = prod(entries)
+    places = _places(entries)
     if n == 3:
         return all(
-            hilbert_symbol(-1, -d, v) == hasse_invariant(q, v) for v in places
+            hilbert_symbol(-1, -d, v) == _hasse(entries, v) for v in places
         )
     if n == 4:
         for v in places:
-            if _local_square(d, v) and hasse_invariant(q, v) != hilbert_symbol(-1, -1, v):
+            if _local_square(d, v) and _hasse(entries, v) != hilbert_symbol(-1, -1, v):
                 return False
         return True
-    pos, neg = signature(q)
+    pos, neg = _signature(entries)
     return pos > 0 and neg > 0
 
 
 def isotropy_witness(q: QuadForm, bound: int):
     """Primitive integer zero vector of height <= bound, or None."""
-    _require_nondegenerate(q)
     entries, P = diagonalize(q)
     n = len(entries)
     from itertools import product
@@ -235,16 +244,16 @@ def isotropy_witness(q: QuadForm, bound: int):
 
 def forms_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     """Rational equivalence: dim, discriminant class, signature, local Hasse data."""
-    _require_nondegenerate(q1)
-    _require_nondegenerate(q2)
+    e1, _ = diagonalize(q1)
+    e2, _ = diagonalize(q2)
     if q1.dim != q2.dim:
         return False
-    if squarefree_part(q1.det()) != squarefree_part(q2.det()):
+    if squarefree_part(prod(e1)) != squarefree_part(prod(e2)):
         return False
-    if signature(q1) != signature(q2):
+    if _signature(e1) != _signature(e2):
         return False
-    places = certified_places(q1) | certified_places(q2)
-    return all(hasse_invariant(q1, v) == hasse_invariant(q2, v) for v in places)
+    places = _places(e1) | _places(e2)
+    return all(_hasse(e1, v) == _hasse(e2, v) for v in places)
 
 
 def gram_invariant(space: QuadForm, vectors) -> QuadForm:
@@ -296,7 +305,8 @@ class BrauerClass2:
 
     def __init__(self, places):
         ps = frozenset(places)
-        assert len(ps) % 2 == 0
+        if len(ps) % 2:
+            raise DomainError("a Brauer class has an even number of ramified places")
         self.places = ps
 
     @property

@@ -15,7 +15,7 @@ from quadpencil.adjoint import (
     regularity_D,
 )
 from quadpencil.errors import DomainError
-from quadpencil.linalg import charpoly, mat_eq, mat_mul
+from quadpencil.linalg import charpoly, mat_mul
 
 from util import frac_det, random_invertible
 
@@ -66,7 +66,7 @@ def test_regularity_pinned_two_by_two():
 
 def test_canonical_rep_pinned():
     T = adjoint_canonical_rep(AdjointInvariants([Fraction(0), Fraction(-1)], [Fraction(0)]))
-    assert mat_eq(T, [[0, 1], [1, 0]])
+    assert T == [[0, 1], [1, 0]]
 
 
 def test_canonical_rep_reproduces_invariants():
@@ -91,7 +91,7 @@ def test_canonical_rep_rejects_irregular():
 
 def test_conjugator_pinned():
     g = adjoint_conjugator([[0, 1], [1, 0]], [[0, Fraction(1, 2)], [2, 0]])
-    assert mat_eq(g, [[Fraction(1, 2), 0], [0, 1]])
+    assert g == [[Fraction(1, 2), 0], [0, 1]]
 
 
 def invert(M):
@@ -133,7 +133,7 @@ def test_conjugator_on_matched_orbits():
         want = adjoint_invariants(T)
         assert got.c == want.c and got.a == want.a
         g = adjoint_conjugator(T, Tp)
-        assert mat_eq(mat_mul(g, T), mat_mul(Tp, g))
+        assert mat_mul(g, T) == mat_mul(Tp, g)
         assert g[n - 1][n - 1] == 1
         assert all(g[n - 1][j] == 0 for j in range(n - 1))
         assert all(g[i][n - 1] == 0 for i in range(n - 1))

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from quadpencil.cli import main
 
 
@@ -133,3 +135,33 @@ def test_exit_code_domain_error(capsys):
 def test_exit_code_hilbert_zero(capsys):
     rc, out, err = run(capsys, "quad", "hilbert", "--a", "0", "--b", "3", "--place", "5")
     assert rc == 2
+
+
+H_EQUIV_PAYLOAD = json.dumps({"p1": {"g": ["1", "0", "1"], "alpha": ["1"], "t": "1"},
+                              "p2": {"g": ["1", "0", "1"], "alpha": ["1"], "t": "1"}})
+
+MALFORMED = {
+    "place-not-a-number": ["quad", "hilbert", "--a", "2", "--b", "3", "--place", "abc"],
+    "primes-not-a-number": ["pencil", "h-equiv", "--primes", "x", "--json", H_EQUIV_PAYLOAD],
+    "primes-not-prime": ["pencil", "h-equiv", "--primes", "3,4", "--json", H_EQUIV_PAYLOAD],
+    "negative-bound": ["pencil", "search", "--f", "-1,0,-1", "--bound", "-5"],
+    "bound-not-a-number": ["quad", "iso", "--json", "[[1,0],[0,1]]", "--bound", "x"],
+    "adj-inv-not-square": ["adj", "inv", "--json", "[[1,2]]"],
+    "adj-conj-not-square": ["adj", "conj", "--json",
+                            '{"T": [[1,2,3],[4,5,6]], "Tprime": [[1,2,3],[4,5,6]]}'],
+    "missing-field": ["adj", "canon", "--json", '{"c": ["0", "-1"]}'],
+    "vectors-not-a-list": ["quad", "gram", "--json", '{"space": [[1,0],[0,1]], "vectors": 5}'],
+}
+
+
+@pytest.mark.parametrize("argv", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_exits_1_with_one_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_primes_flag_accepts_primes(capsys):
+    out = run_json(capsys, "pencil", "h-equiv", "--primes", "5,3", "--json", H_EQUIV_PAYLOAD)
+    assert out == {"equivalent": True, "witness": ["1", "0"], "d": "1"}

@@ -7,7 +7,7 @@ import pytest
 
 from quadpencil import EtaleAlgebra, Poly
 from quadpencil.errors import DomainError
-from quadpencil.etale import all_square_roots, euler_trace_solve, make_algebra, sqrt_in_algebra
+from quadpencil.etale import all_square_roots, euler_trace_solve, sqrt_in_algebra
 from quadpencil.polys import poly_from_ints
 
 from util import frac_det, random_monic_separable
@@ -26,7 +26,7 @@ def rand_unit(rng, A):
 
 def test_idempotent_splitting():
     for cs in ([-1, 0, 1], [0, -1, 0, 1], [-4, 0, 0, 0, 1]):
-        A = make_algebra(poly_from_ints(cs))
+        A = EtaleAlgebra(poly_from_ints(cs))
         es = A.idempotents()
         assert len(es) == len(A.factors)
         total = A.zero
@@ -40,11 +40,11 @@ def test_idempotent_splitting():
 
 
 def test_component_count_pinned():
-    assert len(make_algebra(poly_from_ints([-1, 0, 1])).factors) == 2  # x^2 - 1
-    assert len(make_algebra(poly_from_ints([1, 0, 1])).factors) == 1  # x^2 + 1
+    assert len(EtaleAlgebra(poly_from_ints([-1, 0, 1])).factors) == 2  # x^2 - 1
+    assert len(EtaleAlgebra(poly_from_ints([1, 0, 1])).factors) == 1  # x^2 + 1
     # (x-1)(x-2)(x^2+1)
     g = poly_from_ints([-1, 1]) * poly_from_ints([-2, 1]) * poly_from_ints([1, 0, 1])
-    assert len(make_algebra(g).factors) == 3
+    assert len(EtaleAlgebra(g).factors) == 3
 
 
 def test_norm_trace_against_multiplication_matrix():
@@ -83,7 +83,7 @@ def test_inverse():
         A = EtaleAlgebra(random_monic_separable(rng, rng.randint(2, 4)))
         a = rand_unit(rng, A)
         assert a * a.inverse() == A.one
-    A = make_algebra(poly_from_ints([-1, 0, 1]))
+    A = EtaleAlgebra(poly_from_ints([-1, 0, 1]))
     zero_divisor = A.beta - A.one  # vanishes in one component
     assert not zero_divisor.is_unit
     with pytest.raises(DomainError):
@@ -130,9 +130,9 @@ def test_sqrt_of_squares():
 
 
 def test_sqrt_absent():
-    A = make_algebra(poly_from_ints([-2, 0, 1]))  # real quadratic field
+    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))  # real quadratic field
     assert sqrt_in_algebra(A, A.from_rational(-1)) is None
-    B = make_algebra(poly_from_ints([1, 0, 1]))
+    B = EtaleAlgebra(poly_from_ints([1, 0, 1]))
     s = sqrt_in_algebra(B, B.from_rational(-1))
     assert s is not None and s * s == B.from_rational(-1)
 
@@ -140,7 +140,7 @@ def test_sqrt_absent():
 def test_all_square_roots_count():
     # split algebra with r components: 2^r square roots of 1
     g = poly_from_ints([-1, 1]) * poly_from_ints([-2, 1]) * poly_from_ints([-3, 1])
-    A = make_algebra(g)
+    A = EtaleAlgebra(g)
     roots = all_square_roots(A, A.one)
     assert len(roots) == 8
     assert len(set(tuple(r.coords) for r in roots)) == 8
@@ -149,6 +149,6 @@ def test_all_square_roots_count():
 
 
 def test_sqrt_deterministic():
-    A = make_algebra(poly_from_ints([-2, 0, 0, 1]))
+    A = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
     a = A.from_rational(4)
     assert sqrt_in_algebra(A, a) == sqrt_in_algebra(A, a)

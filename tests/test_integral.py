@@ -8,7 +8,7 @@ import pytest
 
 from quadpencil import BinaryForm, OrbitParam, g_equivalent, invariant_binary_form, pencil_to_param
 from quadpencil.errors import DomainError
-from quadpencil.linalg import is_symmetric, mat_eq, mat_mul, transpose
+from quadpencil.linalg import is_symmetric, mat_mul, transpose
 from quadpencil.orders import (
     OrientedIdeal,
     canonical_odd_orbit,
@@ -106,8 +106,8 @@ def test_ideal_out_of_range():
 def test_module_pair_pinned():
     O = form_order(FCUBE)
     pair = ideal_pair_to_matrices(O, unit_ideal(O), O.algebra.one)
-    assert mat_eq(pair.A, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert mat_eq(pair.B, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert pair.A == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert pair.B == [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
     assert invariant_binary_form(pair) == FCUBE
 
 
@@ -136,8 +136,8 @@ def test_rebasing_acts_by_congruence():
         rebased = [[int(x) for x in row] for row in mat_mul(U, I.mat)]
         J = OrientedIdeal(O, I.den, rebased, I.eps)
         moved = ideal_pair_to_matrices(O, J, O.algebra.one)
-        assert mat_eq(moved.A, mat_mul(U, mat_mul(pair.A, transpose(U))))
-        assert mat_eq(moved.B, mat_mul(U, mat_mul(pair.B, transpose(U))))
+        assert moved.A == mat_mul(U, mat_mul(pair.A, transpose(U)))
+        assert moved.B == mat_mul(U, mat_mul(pair.B, transpose(U)))
 
 
 def test_validity_rejections():
@@ -213,3 +213,12 @@ def test_inverse_different_index_is_disc():
         contained, index = inverse_different_check(form_order(f))
         assert contained
         assert index == abs(f.disc())
+
+
+def test_oriented_ideal_rejects_bad_orientation_and_denominator():
+    O = form_order(F2357)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert OrientedIdeal(O, 1, rows, -1).eps == -1
+    for den, eps in ((1, 0), (1, 2), (0, 1), (-2, 1)):
+        with pytest.raises(DomainError):
+            OrientedIdeal(O, den, rows, eps)

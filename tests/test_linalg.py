@@ -1,0 +1,181 @@
+"""Exact linear algebra checked against oracles that do not use linalg itself."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+import pytest
+
+from quadpencil.errors import DomainError
+from quadpencil.linalg import charpoly, det, hnf, inverse, nullspace, solve
+
+from util import frac_det, random_invertible
+
+
+def rand_mat(rng, m, n, lo=-4, hi=4):
+    return [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(m)]
+
+
+def product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def apply(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def unit(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def frac_rank(rows):
+    """Largest k with a nonzero k x k minor, from frac_det alone."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                if frac_det([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+def low_rank(rng, m, n, r):
+    """m x n integer matrix of rank at most r, as a product of random factors."""
+    return product(rand_mat(rng, m, r, -3, 3), rand_mat(rng, r, n, -3, 3))
+
+
+def test_det_matches_oracle():
+    rng = random.Random(1)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        A = rand_mat(rng, n, n)
+        assert det(A) == frac_det(A)
+    for _ in range(10):
+        A = low_rank(rng, 4, 4, rng.randint(1, 3))
+        assert det(A) == frac_det(A) == 0
+    assert det([[Fraction(1, 2), 3], [Fraction(2, 3), 5]]) == Fraction(1, 2)
+
+
+def test_solve_satisfies_system():
+    rng = random.Random(2)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        A = random_invertible(rng, n)
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+        assert apply(A, solve(A, b)) == b
+
+
+def test_inverse_is_two_sided():
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        A = random_invertible(rng, n)
+        Ainv = inverse(A)
+        assert product(A, Ainv) == unit(n)
+        assert product(Ainv, A) == unit(n)
+
+
+def test_singular_input_raises():
+    rng = random.Random(4)
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        A = low_rank(rng, n, n, n - 1)
+        with pytest.raises(DomainError):
+            solve(A, [1] * n)
+        with pytest.raises(DomainError):
+            inverse(A)
+    with pytest.raises(DomainError):
+        inverse([[0, 0], [0, 0]])
+
+
+def test_nullspace_is_kernel_of_full_size():
+    rng = random.Random(5)
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 6)
+        A = low_rank(rng, m, n, rng.randint(1, min(m, n)))
+        basis = nullspace(A)
+        rank = frac_rank(A)
+        assert len(basis) == n - rank
+        for v in basis:
+            assert len(v) == n and any(v)
+            assert apply(A, v) == [0] * m
+        if basis:
+            assert frac_rank(basis) == len(basis)
+    assert nullspace(unit(3)) == []
+    assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+
+
+def test_charpoly_matches_determinants():
+    rng = random.Random(6)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        A = rand_mat(rng, n, n, -3, 3)
+        P = charpoly(A)
+        assert P.degree == n and P.lc == 1
+        for s in range(-(n // 2), n + 1 - n // 2):
+            sI_minus_A = [[(s if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
+            assert P(Fraction(s)) == frac_det(sI_minus_A)
+
+
+def in_row_lattice(H, v):
+    """Is v an integer combination of the echelon rows H?"""
+    v = list(v)
+    for row in H:
+        p = next(c for c, x in enumerate(row) if x != 0)
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def check_echelon(H, n):
+    pivots = []
+    for row in H:
+        assert len(row) == n and all(isinstance(x, int) for x in row)
+        p = next(c for c, x in enumerate(row) if x != 0)
+        assert row[p] > 0
+        assert not pivots or p > pivots[-1]
+        pivots.append(p)
+    for i, p in enumerate(pivots):
+        for k in range(i):
+            assert 0 <= H[k][p] < H[i][p]
+    return pivots
+
+
+def test_hnf_shape_and_lattice():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        m = rng.randint(n, n + 2)
+        while True:
+            A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+            minors = [frac_det([A[r] for r in rs]) for rs in combinations(range(m), n)]
+            index = 0
+            for d in minors:
+                index = gcd(index, int(d))
+            if index:
+                break
+        H = hnf(A)
+        pivots = check_echelon(H, n)
+        assert pivots == list(range(n))
+        # L(A) inside L(H), and both have index gcd(maximal minors) in Z^n
+        assert all(in_row_lattice(H, row) for row in A)
+        covolume = 1
+        for i in range(n):
+            covolume *= H[i][i]
+        assert covolume == index
+
+
+def test_hnf_rank_deficient():
+    rng = random.Random(8)
+    for _ in range(20):
+        m, n = rng.randint(2, 5), rng.randint(2, 5)
+        A = [[int(x) for x in row] for row in low_rank(rng, m, n, rng.randint(1, min(m, n) - 1))]
+        H = hnf(A)
+        check_echelon(H, n)
+        assert len(H) == frac_rank(A)
+        assert all(in_row_lattice(H, row) for row in A)
+    assert hnf([[0, 0], [0, 0]]) == []
+    assert hnf([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]

@@ -20,7 +20,7 @@ from quadpencil import (
     stabilizer_rational,
 )
 from quadpencil.errors import DomainError
-from quadpencil.linalg import congruence, identity, mat_eq, mat_mul
+from quadpencil.linalg import congruence, identity, mat_mul
 
 from util import frac_det, random_param, unimodular
 
@@ -70,7 +70,7 @@ def test_from_param_pinned():
     f = BinaryForm([-1, 0, 1])
     L = EtaleAlgebra(f.monic_part())
     pair = param_to_pencil(f, OrbitParam(L, L.beta, Fraction(1)))
-    assert mat_eq(pair.A, I2) and mat_eq(pair.B, ANTIDIAG2)
+    assert pair.A == I2 and pair.B == ANTIDIAG2
 
 
 def test_from_param_rejects_broken_identity():
@@ -187,9 +187,9 @@ def test_stabilizer_properties():
             assert len(seen) == S.order
             for M in S.elements:
                 assert frac_det(M) == 1
-                assert mat_eq(mat_mul(M, M), identity(n))
-                assert mat_eq(congruence(M, pair.A), pair.A)
-                assert mat_eq(congruence(M, pair.B), pair.B)
+                assert mat_mul(M, M) == identity(n)
+                assert congruence(M, pair.A) == pair.A
+                assert congruence(M, pair.B) == pair.B
             for M in S.elements:
                 for N in S.elements:
                     prod = tuple(tuple(row) for row in mat_mul(M, N))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadpencil.errors import DomainError
-from quadpencil.linalg import mat_eq, mat_mul, transpose
+from quadpencil.linalg import mat_mul, transpose
 from quadpencil.pfaffian import SkewTriple, pfaffian, pi_invariant, sl5_stable, sub_pfaffian_forms
 
 from util import frac_det, random_invertible, random_skew, unimodular
@@ -108,7 +108,7 @@ def test_pi_congruence_invariant():
         g = unimodular(rng, 5)
         assert frac_det(g) == 1
         moved = v.transformed(g)
-        assert mat_eq(pi_invariant(moved), pi)
+        assert pi_invariant(moved) == pi
         assert sl5_stable(moved) == sl5_stable(v)
 
 
@@ -118,7 +118,7 @@ def test_degenerate_triple_has_zero_pi():
     for _ in range(5):
         v = SkewTriple(random_skew(rng, 5), random_skew(rng, 5), [row[:] for row in zero])
         pi = pi_invariant(v)
-        assert mat_eq(pi, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert pi == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
         assert not sl5_stable(v)
 
 

@@ -180,3 +180,39 @@ def test_lagrange_interpolation_round_trip():
         xs = [Fraction(x) for x in rng.sample(range(-10, 11), p.degree + 1)]
         q = lagrange_interpolate(xs, [p(x) for x in xs])
         assert q == p
+
+
+def test_negative_power_rejected():
+    assert Poly([1, 1]) ** 0 == Poly([1])
+    with pytest.raises(DomainError):
+        Poly([1, 1]) ** -1
+
+
+def test_negative_power_rejected_without_asserts():
+    # python -O strips assert statements; the guard must not be one
+    import os
+    import subprocess
+    import sys
+
+    import quadpencil
+
+    src = os.path.dirname(os.path.dirname(quadpencil.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from quadpencil import Poly\n"
+            "from quadpencil.errors import DomainError\n"
+            "try:\n"
+            "    Poly([1, 1]) ** -1\n"
+            "except DomainError:\n"
+            "    print('rejected')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected\n"
+
+
+def test_from_monic_part_needs_monic():
+    from quadpencil import BinaryForm
+
+    assert BinaryForm.from_monic_part(2, Poly([3, 0, 1])).coeffs == (2, 0, 6)
+    with pytest.raises(DomainError):
+        BinaryForm.from_monic_part(2, Poly([3, 0, 2]))

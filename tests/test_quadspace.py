@@ -243,7 +243,7 @@ def test_quaternion_class_matches_symbols():
 
 
 def test_brauer_class_parity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(DomainError):
         BrauerClass2({2})
     assert BrauerClass2(set()).is_trivial
     assert BrauerClass2({2, 5}) == BrauerClass2({5, 2})

@@ -1,5 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
+The random generators for forms, parameters and unimodular matrices are the
+ones the selftest criteria draw from, so draw order and ranges are shared.
+
 The oracles here deliberately avoid the package's own routines: determinants
 are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
@@ -7,7 +10,12 @@ matrix, and discriminants of low degree use the textbook closed forms.
 
 from fractions import Fraction
 
-from quadpencil import BinaryForm, EtaleAlgebra, OrbitParam, Poly, is_squarefree
+from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
+    random_integral_form,
+    random_monic_separable,
+    random_param,
+    unimodular,
+)
 
 
 def frac_det(rows):
@@ -58,48 +66,6 @@ def quadratic_disc(a, b, c):
 def cubic_disc(a, b, c, d):
     a, b, c, d = (Fraction(x) for x in (a, b, c, d))
     return 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
-
-
-def random_monic_separable(rng, n, lo=-5, hi=5):
-    while True:
-        g = Poly([Fraction(rng.randint(lo, hi)) for _ in range(n)] + [Fraction(1)])
-        if is_squarefree(g):
-            return g
-
-
-def random_integral_form(rng, n, lo=-6, hi=6):
-    while True:
-        cs = [rng.randint(lo, hi) for _ in range(n + 1)]
-        if cs[0] == 0:
-            continue
-        f = BinaryForm(cs)
-        if f.disc() != 0:
-            return f
-
-
-def random_param(rng, n):
-    """Valid (f, p) with t = s N(alpha), f0 = s^2 N(alpha)."""
-    while True:
-        g = random_monic_separable(rng, n)
-        L = EtaleAlgebra(g)
-        alpha = L.element([Fraction(rng.randint(-3, 3)) for _ in range(n)])
-        if not alpha.is_unit:
-            continue
-        s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
-        if rng.random() < 0.5:
-            s = -s
-        f0 = s * s * alpha.norm()
-        return BinaryForm.from_monic_part(f0, g), OrbitParam(L, alpha, s * alpha.norm())
-
-
-def unimodular(rng, n, steps=6):
-    U = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2)
-        c = rng.randint(-2, 2)
-        for r in range(n):
-            U[r][j] += c * U[r][i]
-    return U
 
 
 def random_skew(rng, n, lo=-5, hi=5):
