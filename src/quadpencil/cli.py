@@ -322,8 +322,15 @@ def cmd_selftest(args):
     return run_selftest(seed=args.seed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error (bad or missing flag) is malformed input: exit 1, one line."""
+
+    def error(self, message):
+        raise PayloadError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quadpencil",
         description=(
             "Exact arithmetic of pencils of quadrics and related orbit "
@@ -423,8 +430,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = ap.parse_args(_merge_value_flags(list(argv)))
     try:
+        args = ap.parse_args(_merge_value_flags(list(argv)))
         rc = args.func(args)
         return 0 if rc is None else rc
     except (json.JSONDecodeError, PayloadError) as exc:

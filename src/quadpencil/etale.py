@@ -3,16 +3,18 @@
 Elements are coordinate vectors in the power basis 1, beta, ..., beta^(n-1)
 where beta is the class of x. The trace form identity
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
-the pencil module.
+the pencil module. Traces are dot products with the power sums
+p_k = Tr(beta^k), and norms are resultants N(a) = Res(g, a).
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError
 from .factor import factor_poly
 from .intutil import is_square_rational, rational_sqrt
 from .linalg import charpoly as mat_charpoly
-from .linalg import det as mat_det
+from .linalg import det as mat_det  # noqa: F401  (perfbench's tests trace this alias)
 from .linalg import solve as mat_solve
 from .polys import Poly, X, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
 
@@ -30,11 +32,12 @@ class EtaleAlgebra:
         self._factors = None
         self._components = None
         self._idempotents = None
-        # powers of beta mod g up to beta^(2n-2), for products and traces
+        # powers of beta mod g up to beta^(2n-2), for beta_pow and euler_trace_solve
         pows = [Poly([1])]
         for _ in range(2 * self.n - 2):
             pows.append((pows[-1] * X) % g)
         self._beta_pows = pows
+        self._power_sums = None
 
     @property
     def factors(self):
@@ -44,6 +47,24 @@ class EtaleAlgebra:
             assert all(m == 1 for _, m in facs)
             self._factors = [f for f, _ in facs]
         return self._factors
+
+    @property
+    def power_sums(self):
+        """p_k = Tr(beta^k) for k < 3n - 1, enough for Tr(beta^k a), k < 2n.
+
+        Newton's identities for monic g = x^n + c_(n-1) x^(n-1) + ... + c_0:
+        p_k = -k c_(n-k) [k <= n] - sum_(i=1)^(min(k-1, n)) c_(n-i) p_(k-i).
+        """
+        if self._power_sums is None:
+            n, c = self.n, self.g.coeffs
+            p = [Fraction(n)]
+            for k in range(1, 3 * n - 1):
+                acc = k * c[n - k] if k <= n else Fraction(0)
+                for i in range(1, min(k - 1, n) + 1):
+                    acc += c[n - i] * p[k - i]
+                p.append(-acc)
+            self._power_sums = p
+        return self._power_sums
 
     def element(self, coords):
         cs = [Fraction(c) for c in coords]
@@ -211,12 +232,13 @@ class AlgElement:
                 cur = cur * self.A.beta
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
-    def trace(self) -> Fraction:
-        M = self.mult_matrix()
-        return sum(M[i][i] for i in range(self.A.n))
+    def trace(self, shift=0) -> Fraction:
+        """Tr(beta^shift * self) for 0 <= shift < 2n, a dot product with power sums."""
+        p = self.A.power_sums[shift:]
+        return sum(map(mul, self.coords, p), Fraction(0))
 
     def norm(self) -> Fraction:
-        return mat_det(self.mult_matrix())
+        return resultant(self.A.g, self.poly())
 
     def charpoly(self) -> Poly:
         """det(x - mult-by-self); equals Res_y(g(y), x - a(y)) for monic g."""

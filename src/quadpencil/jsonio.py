@@ -152,12 +152,17 @@ def ideal_to_json(I: OrientedIdeal):
     }
 
 
+def _is_int(v):
+    """A JSON integer; JSON true and false are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def json_to_ideal(order: Order, obj) -> OrientedIdeal:
     den, rows, eps = fields(obj, "den", "mat", "eps")
-    if not isinstance(den, int) or den <= 0 or eps not in (1, -1):
+    if not _is_int(den) or den <= 0 or not _is_int(eps) or eps not in (1, -1):
         raise PayloadError("den must be a positive integer, eps +1 or -1")
     if not isinstance(rows, list) or any(
-        not isinstance(r, list) or any(not isinstance(x, int) for x in r) for r in rows
+        not isinstance(r, list) or any(not _is_int(x) for x in r) for r in rows
     ):
         raise PayloadError("mat must be an integer matrix")
     if len(rows) != order.n or any(len(r) != order.n for r in rows):

@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
-Matrices are plain lists of lists of Fractions (rows). Nothing here is
-optimized beyond desk scale (n <= 12 or so); everything is exact.
+Matrices are plain lists of lists of Fractions (rows); everything is exact.
+`det` and `mat_mul` clear denominators row by row and work on Python
+integers, which avoids a gcd per Fraction operation; the rest is Fraction
+Gauss-Jordan, meant for desk scale (n <= 12 or so).
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DomainError
 from .polys import Poly
@@ -31,11 +35,22 @@ def mat_scale(A, c):
     return [[c * a for a in row] for row in A]
 
 
+def _int_rows(A):
+    """[(d, d * row)] for each row, d the lcm of its denominators: integer rows."""
+    out = []
+    for row in A:
+        d = lcm(*(x.denominator for x in row))
+        out.append((d, [x.numerator * (d // x.denominator) for x in row]))
+    return out
+
+
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    Bt = transpose(B)
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    """A B: each entry is an integer row of A times an integer column of B,
+    over the product of their two denominators."""
+    assert len(A[0]) == len(B)
+    cols = _int_rows(zip(*B))
+    return [[Fraction(sum(map(mul, ra, cb)), da * db) for db, cb in cols]
+            for da, ra in _int_rows(A)]
 
 
 def mat_vec(A, v):
@@ -47,27 +62,39 @@ def vec_mat(v, A):
 
 
 def det(A):
-    """Determinant by fraction Gaussian elimination."""
+    """Determinant by Bareiss fraction-free elimination on integer rows.
+
+    Entries are ints or Fractions. Each row is scaled to integers by the lcm
+    of its denominators, and the integer determinant is divided by the
+    product of those scales. Every division in the elimination is exact
+    (Bareiss, Math. Comp. 22, 1968).
+    """
     n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
+    if n == 0:
+        return Fraction(1)
+    scale = 1
+    M = []
+    for d, row in _int_rows(A):
+        scale *= d
+        M.append(row)
     sign = 1
-    d = Fraction(1)
-    for c in range(n):
+    prev = 1
+    for c in range(n - 1):
         piv = next((r for r in range(c, n) if M[r][c] != 0), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             sign = -sign
-        d *= M[c][c]
-        inv = 1 / M[c][c]
+        top = M[c]
+        p = top[c]
         for r in range(c + 1, n):
-            f = M[r][c] * inv
-            if f == 0:
-                continue
-            for j in range(c, n):
-                M[r][j] -= f * M[c][j]
-    return sign * d
+            row = M[r]
+            a = row[c]
+            for j in range(c + 1, n):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
+    return Fraction(sign * M[n - 1][n - 1], scale)
 
 
 def _reduce(M, ncols):

@@ -13,7 +13,7 @@ import random
 
 from .binforms import BinaryForm
 from .errors import DomainError
-from .etale import EtaleAlgebra, all_square_roots, euler_trace_solve
+from .etale import EtaleAlgebra, euler_trace_solve, sqrt_in_algebra
 from .intutil import divisors, factorint, is_square_rational, rational_sqrt
 from .linalg import (
     charpoly,
@@ -24,9 +24,8 @@ from .linalg import (
     is_symmetric,
     mat_mul,
     mat_vec,
-    transpose,
 )
-from .polys import Poly, discriminant, lagrange_interpolate, real_root_count
+from .polys import discriminant, lagrange_interpolate, real_root_count
 
 
 class SymPair:
@@ -178,6 +177,8 @@ def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
 
     Gram matrices of (mu, lambda) -> Tr(mu lambda / (alpha g'(beta))) and its
     beta-twist in the power basis, rescaled so the invariant form is exactly f.
+    Both are Hankel: A_ij = h_(i+j) and B_ij = h_(i+j+1) with
+    h_k = Tr(beta^k / (alpha g'(beta))), so 2n traces fill them.
     """
     _require_stable(f)
     g = f.monic_part()
@@ -188,8 +189,9 @@ def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
         raise DomainError("t^2 = f0 N(alpha) violated")
     n = f.n
     w = (p.alpha * L.from_poly(g.derivative())).inverse()
-    Atil = [[(L.beta_pow(i + j) * w).trace() for j in range(n)] for i in range(n)]
-    Btil = [[(L.beta_pow(i + j + 1) * w).trace() for j in range(n)] for i in range(n)]
+    h = [w.trace(k) for k in range(2 * n)]
+    Atil = [h[i : i + n] for i in range(n)]
+    Btil = [h[i + 1 : i + n + 1] for i in range(n)]
     U = identity(n)
     U[0][0] = p.t
     pair = SymPair(congruence(U, Atil), congruence(U, Btil))
@@ -198,17 +200,31 @@ def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
 
 
 def g_equivalent(p1: OrbitParam, p2: OrbitParam):
-    """Witness c with c^2 alpha2 = alpha1 and N(c) t2 = t1, or None."""
+    """Witness c with c^2 alpha2 = alpha1 and N(c) t2 = t1, or None.
+
+    Every root of alpha1/alpha2 is c * sum(s_i E_i) for the canonical root c
+    and signs s_i, with norm N(c) * prod s_i^(deg g_i); equal f0 gives
+    N(c) t2 = +-t1. For -t1 this returns c * (1 - 2 E_i), i the last factor of
+    odd degree: the first root with the right norm when the roots are listed
+    as in all_square_roots. With no odd-degree factor there is none.
+    """
     if p1.algebra != p2.algebra:
         raise DomainError("parameters live in different algebras")
     if p1.f0 != p2.f0:
         return None
-    ratio = p1.alpha / p2.alpha
-    for c in all_square_roots(p1.algebra, ratio):
-        assert c * c * p2.alpha == p1.alpha
-        if c.norm() * p2.t == p1.t:
-            return c
-    return None
+    L = p1.algebra
+    c = sqrt_in_algebra(L, p1.alpha / p2.alpha)
+    if c is None:
+        return None
+    assert c * c * p2.alpha == p1.alpha
+    if c.norm() * p2.t == p1.t:
+        return c
+    odd = [i for i, gi in enumerate(L.factors) if gi.degree % 2]
+    if not odd:
+        return None
+    root = c * (1 - 2 * L.idempotents()[odd[-1]])
+    assert root.norm() * p2.t == p1.t
+    return root
 
 
 def _support_primes(f0: Fraction, disc_g: Fraction, extra):

@@ -354,16 +354,22 @@ def real_root_count(p: Poly) -> int:
 
 
 def lagrange_interpolate(xs, ys) -> Poly:
-    """Unique Poly of degree < len(xs) through the given rational points."""
+    """Unique Poly of degree < len(xs) through the given rational points.
+
+    Newton divided differences, then the Newton form expanded by Horner's rule.
+    """
     assert len(xs) == len(ys) and len(set(xs)) == len(xs)
-    out = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        term = Poly([yi])
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = term * Poly([-xj, 1]) * Fraction(1, xi - xj)
-        out = out + term
-    return out
+    xs = [Fraction(x) for x in xs]
+    dd = [Fraction(y) for y in ys]
+    m = len(xs)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - j])
+    out = []
+    for i in range(m - 1, -1, -1):
+        # out <- out * (x - xs[i]) + dd[i]
+        out = [Fraction(0)] + out
+        for k in range(len(out) - 1):
+            out[k] -= xs[i] * out[k + 1]
+        out[0] += dd[i]
+    return Poly(out)

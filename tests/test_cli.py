@@ -151,6 +151,19 @@ MALFORMED = {
                             '{"T": [[1,2,3],[4,5,6]], "Tprime": [[1,2,3],[4,5,6]]}'],
     "missing-field": ["adj", "canon", "--json", '{"c": ["0", "-1"]}'],
     "vectors-not-a-list": ["quad", "gram", "--json", '{"space": [[1,0],[0,1]], "vectors": 5}'],
+    # argparse's own usage errors
+    "k-not-a-number": ["integral", "ideal", "--f", "1,0,0,1", "--k", "x"],
+    "seed-not-a-number": ["selftest", "--seed", "x"],
+    "missing-required-f": ["integral", "order"],
+    "missing-subcommand": ["pencil"],
+    "unknown-group": ["nope"],
+    # JSON true is not an integer
+    "ideal-bool-den-eps": ["integral", "wood", "--f", "1,0,0,1", "--json",
+                           '{"ideal": {"den": true, "mat": [[1,0,0],[0,1,0],[0,0,1]],'
+                           ' "eps": true}, "alpha": ["1"]}'],
+    "ideal-bool-entry": ["integral", "wood", "--f", "1,0,0,1", "--json",
+                         '{"ideal": {"den": 1, "mat": [[true,0,0],[0,1,0],[0,0,1]],'
+                         ' "eps": 1}, "alpha": ["1"]}'],
 }
 
 

@@ -57,6 +57,28 @@ def test_norm_trace_against_multiplication_matrix():
         assert a.trace() == sum(M[i][i] for i in range(A.n))
 
 
+def test_power_sum_trace_and_resultant_norm_differential():
+    rng = random.Random(48)
+    for _ in range(40):
+        A = EtaleAlgebra(random_monic_separable(rng, rng.randint(1, 8)))
+        a = A.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(A.n)])
+        M = a.mult_matrix()
+        assert a.norm() == frac_det(M)
+        assert a.trace() == sum(M[i][i] for i in range(A.n))
+        # Tr(beta^k a) for k < 2n, against the matrix of beta^k a
+        want = []
+        for k in range(2 * A.n):
+            Mk = (A.beta_pow(k) * a).mult_matrix()
+            want.append(sum(Mk[i][i] for i in range(A.n)))
+        assert [a.trace(k) for k in range(2 * A.n)] == want
+    # non-integral g, zero and constant elements
+    A = EtaleAlgebra(Poly([Fraction(1, 3), Fraction(-5, 2), 0, 1]))
+    for a in (A.zero, A.from_rational(Fraction(-2, 7)), A.element([1, Fraction(1, 2), 3])):
+        M = a.mult_matrix()
+        assert a.norm() == frac_det(M)
+        assert a.trace() == sum(M[i][i] for i in range(A.n))
+
+
 def test_norm_multiplicative_trace_additive():
     rng = random.Random(42)
     for _ in range(25):

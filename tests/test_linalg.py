@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from quadpencil.errors import DomainError
-from quadpencil.linalg import charpoly, det, hnf, inverse, nullspace, solve
+from quadpencil.linalg import charpoly, det, hnf, inverse, mat_mul, nullspace, solve
 
 from util import frac_det, random_invertible
 
@@ -55,6 +55,61 @@ def test_det_matches_oracle():
         A = low_rank(rng, 4, 4, rng.randint(1, 3))
         assert det(A) == frac_det(A) == 0
     assert det([[Fraction(1, 2), 3], [Fraction(2, 3), 5]]) == Fraction(1, 2)
+
+
+def rand_rat_mat(rng, m, n):
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+            for _ in range(m)]
+
+
+def test_bareiss_det_differential():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        A = rand_rat_mat(rng, n, n)
+        assert det(A) == frac_det(A)
+    # singular: a repeated row, and a rational low-rank product
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        A = rand_rat_mat(rng, n, n)
+        A[-1] = list(A[0])
+        assert det(A) == 0
+        B = product(rand_rat_mat(rng, n, n - 1), rand_rat_mat(rng, n - 1, n))
+        assert det(B) == frac_det(B) == 0
+    # zero pivots force row swaps, at the first step and in the middle
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        A = rand_rat_mat(rng, n, n)
+        A[0][0] = Fraction(0)
+        k = rng.randrange(1, n)
+        for j in range(k + 1):
+            A[k][j] = Fraction(0)
+        assert det(A) == frac_det(A)
+    assert det([[0, 1], [1, 0]]) == -1
+    swap_mid = [[1, 2, 3], [2, 4, 5], [1, 3, 4]]  # second pivot vanishes
+    assert det(swap_mid) == frac_det(swap_mid) == 1
+    assert det([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    # 1 x 1, integer entries (ints, not Fractions), and the empty matrix
+    assert det([[Fraction(-7, 3)]]) == Fraction(-7, 3)
+    assert det([[0]]) == 0
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        d = det(A)
+        assert isinstance(d, Fraction) and d == frac_det(A)
+    assert det([]) == 1
+
+
+def test_mat_mul_matches_fraction_product():
+    rng = random.Random(12)
+    for _ in range(40):
+        m, k, n = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        A, B = rand_rat_mat(rng, m, k), rand_rat_mat(rng, k, n)
+        assert mat_mul(A, B) == product(A, B)
+    A = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+    B = rand_rat_mat(rng, 4, 2)
+    assert mat_mul(A, B) == product(A, B)
+    assert mat_mul([[Fraction(1, 2)]], [[Fraction(2, 3)]]) == [[Fraction(1, 3)]]
 
 
 def test_solve_satisfies_system():

@@ -20,7 +20,9 @@ from quadpencil import (
     stabilizer_rational,
 )
 from quadpencil.errors import DomainError
+from quadpencil.etale import all_square_roots
 from quadpencil.linalg import congruence, identity, mat_mul
+from quadpencil.polys import poly_from_ints
 
 from util import frac_det, random_param, unimodular
 
@@ -79,6 +81,106 @@ def test_from_param_rejects_broken_identity():
     p = OrbitParam(L, L.one, Fraction(1))  # f0 N(1) = -1 cannot be t^2
     with pytest.raises(DomainError):
         param_to_pencil(f, p)
+
+
+def matrix_trace(a):
+    M = a.mult_matrix()
+    return sum(M[i][i] for i in range(len(M)))
+
+
+def test_param_to_pencil_gram_matrices_differential():
+    # the Hankel reading against all 2n^2 traces Tr(beta^(i+j[+1]) w)
+    rng = random.Random(58)
+    for n in (1, 2, 3, 4, 5, 6):
+        for _ in range(3):
+            f, p = random_param(rng, n)
+            L = p.algebra
+            w = (p.alpha * L.from_poly(L.g.derivative())).inverse()
+            Atil = [[matrix_trace(L.beta_pow(i + j) * w) for j in range(n)] for i in range(n)]
+            Btil = [[matrix_trace(L.beta_pow(i + j + 1) * w) for j in range(n)]
+                    for i in range(n)]
+            U = identity(n)
+            U[0][0] = p.t
+            pair = param_to_pencil(f, p)
+            assert pair.A == congruence(U, Atil)
+            assert pair.B == congruence(U, Btil)
+
+
+def g_equivalent_all_roots(p1, p2):
+    """The former g_equivalent: the first of all 2^r roots with the right norm."""
+    if p1.f0 != p2.f0:
+        return None
+    for c in all_square_roots(p1.algebra, p1.alpha / p2.alpha):
+        assert c * c * p2.alpha == p1.alpha
+        if frac_det(c.mult_matrix()) * p2.t == p1.t:
+            return c
+    return None
+
+
+def product_of(*factors):
+    out = poly_from_ints([1])
+    for cs in factors:
+        out = out * poly_from_ints(cs)
+    return out
+
+
+MIXED_PARITY = [
+    product_of([-1, 1], [1, 0, 1]),  # degrees 1, 2
+    product_of([1, 0, 1], [-2, 1]),  # 2, 1
+    product_of([-2, 0, 0, 1], [-3, 0, 1]),  # 3, 2
+    product_of([-1, 1], [1, 0, 1], [-2, 0, 0, 1]),  # 1, 2, 3
+    product_of([-1, 1], [-2, 1], [1, 0, 1]),  # 1, 1, 2
+    product_of([-1, 1], [-2, 1], [-3, 1]),  # 1, 1, 1
+    product_of([1, 0, 1], [-3, 0, 1], [-5, 1]),  # 2, 2, 1
+]
+EVEN_ONLY = [
+    product_of([1, 0, 1], [-3, 0, 1]),
+    product_of([1, 0, 1], [-2, 0, 1], [5, 0, 1]),
+]
+
+
+def unit_of(rng, L):
+    while True:
+        a = L.element([Fraction(rng.randint(-3, 3)) for _ in range(L.n)])
+        if a.is_unit:
+            return a
+
+
+def test_g_equivalent_matches_all_roots_loop():
+    rng = random.Random(59)
+    seen = {"plus": 0, "minus": 0, "none": 0}
+    for g in MIXED_PARITY + EVEN_ONLY:
+        L = EtaleAlgebra(g)
+        degs = [gi.degree for gi in L.factors]
+        assert len(degs) >= 2
+        for _ in range(4):
+            alpha2, c0 = unit_of(rng, L), unit_of(rng, L)
+            t2 = Fraction(rng.randint(1, 5), rng.randint(1, 3)) * alpha2.norm()
+            p2 = OrbitParam(L, alpha2, t2)
+            for sign in (1, -1):
+                p1 = OrbitParam(L, c0 * c0 * alpha2, sign * c0.norm() * t2)
+                got = g_equivalent(p1, p2)
+                assert got == g_equivalent_all_roots(p1, p2)
+                if sign == -1 and all(d % 2 == 0 for d in degs):
+                    assert got is None
+                    seen["none"] += 1
+                else:
+                    assert got is not None
+                    assert got * got * alpha2 == p1.alpha and got.norm() * t2 == p1.t
+                    seen["plus" if sign == 1 else "minus"] += 1
+    assert min(seen.values()) > 0
+
+
+def test_g_equivalent_non_square_ratio():
+    # 3 is a square in no component of Q(i) x Q(sqrt 2)
+    L = EtaleAlgebra(product_of([1, 0, 1], [-2, 0, 1]))
+    rng = random.Random(60)
+    alpha2 = unit_of(rng, L)
+    p2 = OrbitParam(L, alpha2, alpha2.norm())
+    p1 = OrbitParam(L, alpha2 * 3, 9 * alpha2.norm())  # N(3 alpha2) = 81 N(alpha2)
+    assert p1.f0 == p2.f0
+    assert g_equivalent(p1, p2) is None
+    assert g_equivalent_all_roots(p1, p2) is None
 
 
 def test_round_trip_small():

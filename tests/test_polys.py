@@ -182,6 +182,33 @@ def test_lagrange_interpolation_round_trip():
         assert q == p
 
 
+def reference_lagrange(xs, ys):
+    """Sum of y_i times the Lagrange basis polynomials, built with Poly products."""
+    out = Poly()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        term = Poly([yi])
+        for j, xj in enumerate(xs):
+            if j != i:
+                term = term * Poly([-xj, 1]) * Fraction(1, xi - xj)
+        out = out + term
+    return out
+
+
+def test_lagrange_matches_reference():
+    rng = random.Random(22)
+    for _ in range(60):
+        m = rng.randint(1, 9)
+        xs = [Fraction(x, rng.randint(1, 3)) for x in rng.sample(range(-12, 13), m)]
+        if len(set(xs)) < m:
+            continue
+        ys = [Fraction(rng.randint(-30, 30), rng.randint(1, 5)) for _ in range(m)]
+        if rng.random() < 0.2:
+            ys[rng.randrange(m)] = Fraction(0)
+        assert lagrange_interpolate(xs, ys) == reference_lagrange(xs, ys)
+    assert lagrange_interpolate([1, 2, 3], [0, 0, 0]) == Poly()
+    assert lagrange_interpolate([5], [Fraction(2, 3)]) == Poly([Fraction(2, 3)])
+
+
 def test_negative_power_rejected():
     assert Poly([1, 1]) ** 0 == Poly([1])
     with pytest.raises(DomainError):
