@@ -6,7 +6,9 @@ L = Q[x]/(g), g = f(x,1)/f0, the ring R_f has Z-basis
 + f_(k-1) theta. The modules I_f(k) with basis 1, theta, ..., theta^k,
 zeta_(k+1), ..., zeta_(n-1) are R_f-stable, I_f(k) = I_f(1)^k, and the signed
 norm of I_f(k) is 1/f0^k. Ideals are stored with a global denominator and an
-integer HNF basis in R_f coordinates, plus an orientation sign.
+integer HNF basis in R_f coordinates, plus an orientation sign. Products of
+ideals and scalars multiply those integer rows through the integer
+multiplication table of R_f, then take the HNF.
 """
 
 from fractions import Fraction
@@ -59,6 +61,8 @@ class Order:
 
     def to_basis(self, elem):
         """Coordinates of an algebra element in the zeta basis."""
+        if elem.A != self.algebra:
+            raise DomainError("elements of different algebras")
         return vec_mat(list(elem.coords), self.Zinv)
 
     def from_basis(self, coords):
@@ -136,27 +140,45 @@ class OrientedIdeal:
         return "OrientedIdeal(den=%d, mat=%r, eps=%d)" % (self.den, self.mat, self.eps)
 
 
-def _ideal_from_elements(order, elems, eps=None):
-    rows = [order.to_basis(e) for e in elems]
-    if eps is None:
-        assert len(rows) == order.n
-        d = det(rows)
-        if d == 0:
-            raise DomainError("ideal basis is not full rank")
-        eps = 1 if d > 0 else -1
-    den = 1
-    for row in rows:
-        for c in row:
-            den = int_lcm(den, c.denominator)
-    ints = [[int(c * den) for c in row] for row in rows]
-    H = hnf(ints)
+def _comb(c, rows):
+    """The integer combination sum c_i rows_i, skipping the zero c_i."""
+    terms = [(x, r) for x, r in zip(c, rows) if x]
+    return [sum(x * r[k] for x, r in terms) for k in range(len(rows[0]))]
+
+
+def _products(order, A, B):
+    """Zeta coordinates of a*b for integer coordinate rows a in A, b in B."""
+    by_j = list(zip(*order.table))  # by_j[j][i] = T[i][j], zeta_i zeta_j
+    out = []
+    for a in A:
+        Ma = [_comb(a, col) for col in by_j]  # row j: a zeta_j
+        out.extend(_comb(b, Ma) for b in B)
+    return out
+
+
+def _ideal_from_rows(order, den, rows, eps):
+    """The ideal spanned by the integer rows over den, oriented by eps."""
+    H = hnf(rows)
     if len(H) != order.n:
         raise DomainError("ideal basis is not full rank")
     return OrientedIdeal(order, den, H, eps)
 
 
+def _cleared(rows):
+    """(den, integer rows) with rows = integer rows / den, den the lcm."""
+    den = int_lcm(*(c.denominator for row in rows for c in row))
+    return den, [[int(c * den) for c in row] for row in rows]
+
+
+def _ideal_from_elements(order, elems):
+    """The ideal with basis elems, oriented by the sign of their determinant."""
+    rows = [order.to_basis(e) for e in elems]
+    return _ideal_from_rows(order, *_cleared(rows), 1 if det(rows) > 0 else -1)
+
+
 def unit_ideal(order: Order) -> OrientedIdeal:
-    return _ideal_from_elements(order, list(order.basis))
+    n = order.n
+    return OrientedIdeal(order, 1, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
 
 def power_ideal(order: Order, k: int) -> OrientedIdeal:
@@ -171,8 +193,8 @@ def power_ideal(order: Order, k: int) -> OrientedIdeal:
 def ideal_mul(I: OrientedIdeal, J: OrientedIdeal) -> OrientedIdeal:
     if I.order != J.order:
         raise DomainError("ideals of different orders")
-    elems = [bi * bj for bi in I.basis_elements() for bj in J.basis_elements()]
-    return _ideal_from_elements(I.order, elems, eps=I.eps * J.eps)
+    rows = _products(I.order, I.mat, J.mat)
+    return _ideal_from_rows(I.order, I.den * J.den, rows, I.eps * J.eps)
 
 
 def ideal_pow(I: OrientedIdeal, k: int) -> OrientedIdeal:
@@ -189,16 +211,14 @@ def scalar_ideal(c, I: OrientedIdeal) -> OrientedIdeal:
     nc = c.norm()
     if nc == 0:
         raise DomainError("scalar must be invertible")
-    elems = [c * b for b in I.basis_elements()]
+    den, (row,) = _cleared([I.order.to_basis(c)])
     eps = I.eps * (1 if nc > 0 else -1)
-    return _ideal_from_elements(I.order, elems, eps=eps)
+    return _ideal_from_rows(I.order, den * I.den, _products(I.order, [row], I.mat), eps)
 
 
 def module_stable(I: OrientedIdeal) -> bool:
     """R_f * I = I as a lattice?"""
-    return all(
-        I.contains(b * v) for b in I.order.basis for v in I.basis_elements()
-    )
+    return ideal_mul(unit_ideal(I.order), I).mat == hnf(I.mat)
 
 
 def _natural_basis(order, k):

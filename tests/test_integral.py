@@ -26,7 +26,14 @@ from quadpencil.orders import (
     unit_ideal,
 )
 
-from util import random_integral_form, unimodular
+from util import (
+    frac_det,
+    random_integral_form,
+    reference_ideal_mul,
+    reference_module_stable,
+    reference_scalar_ideal,
+    unimodular,
+)
 
 F2357 = BinaryForm([2, 3, 5, 7])
 FCUBE = BinaryForm([1, 0, 0, 1])  # x^3 + y^3
@@ -222,3 +229,120 @@ def test_oriented_ideal_rejects_bad_orientation_and_denominator():
     for den, eps in ((1, 0), (1, 2), (0, 1), (-2, 1)):
         with pytest.raises(DomainError):
             OrientedIdeal(O, den, rows, eps)
+
+
+# Forms for the differential tests: random ones for n = 2..6 at fixed seeds,
+# plus forms with negative f0 (random_integral_form draws f0 of both signs).
+NEG_F0 = [
+    BinaryForm([-3, 1, 4]),
+    BinaryForm([-2, 3, 5, 7]),
+    BinaryForm([-5, 0, 2, -1, 3]),
+    BinaryForm([-4, 1, 0, -3, 2, 6]),
+]
+
+
+def _diff_forms():
+    rng = random.Random(71)
+    forms = [random_integral_form(rng, n) for n in (2, 3, 4, 5, 6) for _ in range(2)]
+    return forms + NEG_F0
+
+
+def _ideals(rng, O):
+    """Power ideals, a rebased non-HNF copy of eps -1, and a scalar twist."""
+    n = O.n
+    out = [power_ideal(O, k) for k in range(n)]
+    I = out[rng.randrange(n)]
+    U = unimodular(rng, n)
+    rebased = [[int(x) for x in row] for row in mat_mul(U, I.mat)]
+    out.append(OrientedIdeal(O, I.den, rebased, -1))
+    c = O.algebra.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)])
+    if c.norm() != 0:
+        out.append(reference_scalar_ideal(c, out[-1]))
+    return out
+
+
+def _key(I):
+    return (I.den, I.mat, I.eps)
+
+
+def test_ideal_mul_matches_element_products():
+    rng = random.Random(72)
+    for f in _diff_forms():
+        O = form_order(f)
+        ideals = _ideals(rng, O)
+        for _ in range(6):
+            I, J = rng.choice(ideals), rng.choice(ideals)
+            assert _key(ideal_mul(I, J)) == _key(reference_ideal_mul(I, J))
+
+
+def test_ideal_pow_is_power_ideal():
+    for f in _diff_forms():
+        O = form_order(f)
+        I1 = power_ideal(O, 1)
+        for k in range(O.n):
+            assert _key(ideal_pow(I1, k)) == _key(power_ideal(O, k))
+
+
+def test_scalar_ideal_matches_element_products():
+    rng = random.Random(73)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        ideals = _ideals(rng, O)
+        for _ in range(4):
+            c = O.algebra.element(
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
+            if c.norm() == 0:
+                continue
+            I = rng.choice(ideals)
+            assert _key(scalar_ideal(c, I)) == _key(reference_scalar_ideal(c, I))
+
+
+def test_scalar_with_fractional_coordinates_and_negative_norm():
+    for f in (F2357, BinaryForm([-2, 3, 5, 7])):
+        O = form_order(f)
+        c = O.algebra.element([Fraction(1, 2), Fraction(-1, 3), Fraction(1, 1)])
+        c = c if c.norm() < 0 else -c
+        assert c.norm() < 0
+        assert any(x.denominator != 1 for x in O.to_basis(c))
+        for k in range(3):
+            I = power_ideal(O, k)
+            J = scalar_ideal(c, I)
+            assert _key(J) == _key(reference_scalar_ideal(c, I))
+            assert J.eps == -I.eps
+            assert J.norm() == c.norm() * I.norm()
+
+
+def test_module_stable_on_power_ideals_and_other_lattices():
+    rng = random.Random(74)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        for k in range(n):
+            assert module_stable(power_ideal(O, k))
+        # rebased and scaled ideals are stable too
+        for I in _ideals(rng, O)[n:]:
+            assert module_stable(I) and reference_module_stable(I)
+        # Z + 2 zeta_1 Z + ... + 2 zeta_(n-1) Z is not: zeta_1 * 1 is missing
+        L = OrientedIdeal(O, 1, [[int(i == j) * (1 if i == 0 else 2) for j in range(n)]
+                                 for i in range(n)], 1)
+        assert not module_stable(L)
+        assert not reference_module_stable(L)
+        for _ in range(3):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if frac_det(rows) == 0:
+                continue
+            M = OrientedIdeal(O, rng.randint(1, 3), rows, 1)
+            assert module_stable(M) == reference_module_stable(M)
+
+
+def test_foreign_elements_are_rejected():
+    O = form_order(BinaryForm([2, 0, 1, 3]))
+    other = form_order(BinaryForm([1, 1, 0, 5])).algebra.element([1, 1, 0])
+    I = power_ideal(O, 1)
+    with pytest.raises(DomainError, match="different algebras"):
+        I.contains(other)
+    with pytest.raises(DomainError, match="different algebras"):
+        scalar_ideal(other, I)
+    with pytest.raises(DomainError, match="different algebras"):
+        O.to_basis(other)

@@ -6,9 +6,13 @@ ones the selftest criteria draw from, so draw order and ranges are shared.
 The oracles here deliberately avoid the package's own routines: determinants
 are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
+The reference ideal products keep the algebra-element route (products of
+basis elements mapped back by `to_basis`) that the integer-table products in
+`orders` replaced.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     random_integral_form,
@@ -16,6 +20,9 @@ from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     random_param,
     unimodular,
 )
+from quadpencil.errors import DomainError
+from quadpencil.linalg import hnf
+from quadpencil.orders import OrientedIdeal
 
 
 def frac_det(rows):
@@ -82,3 +89,33 @@ def random_invertible(rng, n, lo=-3, hi=3):
         M = [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)]
         if frac_det(M) != 0:
             return M
+
+
+def _reference_ideal(order, elems, eps):
+    """The ideal with generators elems: zeta coordinates by to_basis, cleared
+    of denominators over their lcm, then put in HNF."""
+    rows = [order.to_basis(e) for e in elems]
+    den = lcm(*(c.denominator for row in rows for c in row))
+    H = hnf([[int(c * den) for c in row] for row in rows])
+    assert len(H) == order.n
+    return OrientedIdeal(order, den, H, eps)
+
+
+def reference_ideal_mul(I, J):
+    """I*J through algebra elements: the n^2 products of the two bases."""
+    elems = [bi * bj for bi in I.basis_elements() for bj in J.basis_elements()]
+    return _reference_ideal(I.order, elems, I.eps * J.eps)
+
+
+def reference_scalar_ideal(c, I):
+    """c*I through algebra elements, oriented by eps(I) * sign(N(c))."""
+    nc = c.norm()
+    if nc == 0:
+        raise DomainError("scalar must be invertible")
+    elems = [c * b for b in I.basis_elements()]
+    return _reference_ideal(I.order, elems, I.eps * (1 if nc > 0 else -1))
+
+
+def reference_module_stable(I):
+    """R_f * I = I, by membership of every product zeta_i * b in I."""
+    return all(I.contains(z * b) for z in I.order.basis for b in I.basis_elements())
