@@ -222,7 +222,7 @@ def cmd_quad_iso(args):
     bound = jsonio.parse_int_arg(args.bound, "--bound", lo=0)
     out = {"isotropic": is_isotropic(q)}
     if bound:
-        out["witness"] = isotropy_witness(q, bound)
+        out["witness"] = isotropy_witness(q, bound) if out["isotropic"] else None
     _emit(out)
 
 

@@ -1,10 +1,12 @@
-"""Integer helpers: primality, factorization, square and squarefree parts.
+"""Integer helpers: primality, factorization, square and squarefree parts,
+and the height shells that the witness searches walk.
 
 Everything here is exact; inputs are Python ints (arbitrary precision) and
 Fractions where noted.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 import random
 
@@ -164,3 +166,14 @@ def divisors(n: int) -> list:
     for p, e in factorint(n).items():
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+def shell_prefixes(m: int, h: int):
+    """(p, on_shell) for every p in [-h, h]^m in lexicographic order, h >= 1.
+
+    on_shell is max |p_i| = h. The vector p + (c,) with |c| <= h lies on the
+    height-h shell of Z^(m+1) exactly when on_shell or |c| = h, and taking c
+    in increasing order under each p walks that shell in lexicographic order.
+    """
+    for p in product(range(-h, h + 1), repeat=m):
+        yield p, h in p or -h in p

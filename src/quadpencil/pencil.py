@@ -14,7 +14,13 @@ import random
 from .binforms import BinaryForm
 from .errors import DomainError
 from .etale import EtaleAlgebra, euler_trace_solve, sqrt_in_algebra
-from .intutil import divisors, factorint, is_square_rational, rational_sqrt
+from .intutil import (
+    divisors,
+    factorint,
+    is_square_rational,
+    rational_sqrt,
+    shell_prefixes,
+)
 from .linalg import (
     charpoly,
     congruence,
@@ -335,25 +341,29 @@ def real_orbit_obstruction(f: BinaryForm) -> bool:
 def orbit_witness_search(f: BinaryForm, bound: int):
     """Bounded search for (alpha, t) with t^2 = f0 N(alpha); None if not found.
 
-    Semi-decision: alpha runs over integer coordinate vectors of height up to
-    bound divided by divisors of the numerator of f0, in increasing height.
+    The certificate comes first: under the real obstruction g has no real
+    root, so N(alpha) > 0 for every unit alpha, f0 N(alpha) < 0 is never a
+    square, and the answer is None without a search. Otherwise this is a
+    semi-decision: v runs over the integer coordinate vectors of height
+    h = 1, 2, ..., bound, each height-h shell in lexicographic order, and
+    alpha = v / d over the positive divisors d of the numerator of f0 in
+    increasing order. Each v takes one norm, since N(v / d) = N(v) / d^n.
     """
-    _require_stable(f)
+    if real_orbit_obstruction(f):
+        return None
     L = EtaleAlgebra(f.monic_part())
     n = f.n
     dens = divisors(f.f0.numerator) if abs(f.f0.numerator) != 1 else [1]
-    for h in range(bound + 1):
-        for vec in product(range(-h, h + 1), repeat=n):
-            if max((abs(v) for v in vec), default=0) != h:
-                continue
-            if all(v == 0 for v in vec):
-                continue
-            for den in dens:
-                alpha = L.element([Fraction(v, den) for v in vec])
-                nrm = alpha.norm()
+    for h in range(1, bound + 1):
+        for p, on_shell in shell_prefixes(n - 1, h):
+            for c in range(-h, h + 1) if on_shell else (-h, h):
+                vec = p + (c,)
+                nrm = L.element(vec).norm()
                 if nrm == 0:
                     continue
-                val = f.f0 * nrm
-                if is_square_rational(val):
-                    return OrbitParam(L, alpha, rational_sqrt(val))
+                for den in dens:
+                    val = f.f0 * nrm / den**n
+                    if is_square_rational(val):
+                        alpha = L.element([Fraction(v, den) for v in vec])
+                        return OrbitParam(L, alpha, rational_sqrt(val))
     return None

@@ -8,7 +8,7 @@ principle over the finite certified place set {0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
-from math import prod
+from math import gcd, isqrt, prod
 
 from .errors import DomainError
 from .intutil import (
@@ -16,6 +16,7 @@ from .intutil import (
     is_prime,
     is_square_rational,
     rational_sqrt,
+    shell_prefixes,
     squarefree_part,
     valuation,
 )
@@ -192,9 +193,7 @@ def _local_square(d, place) -> bool:
     return _legendre(D, p) == 1
 
 
-def is_isotropic(q: QuadForm) -> bool:
-    """Does q represent zero nontrivially over the rationals?"""
-    entries, _ = diagonalize(q)
+def _isotropic(entries) -> bool:
     n = len(entries)
     if n <= 1:
         return False
@@ -215,20 +214,34 @@ def is_isotropic(q: QuadForm) -> bool:
     return pos > 0 and neg > 0
 
 
-def isotropy_witness(q: QuadForm, bound: int):
-    """Primitive integer zero vector of height <= bound, or None."""
-    entries, P = diagonalize(q)
-    n = len(entries)
-    from itertools import product
-    from math import gcd
+def is_isotropic(q: QuadForm) -> bool:
+    """Does q represent zero nontrivially over the rationals?"""
+    return _isotropic(diagonalize(q)[0])
 
+
+def isotropy_witness(q: QuadForm, bound: int):
+    """Primitive integer zero vector of height <= bound, or None.
+
+    The certified decision comes first: an anisotropic form gets None without
+    a search. An isotropic form is searched on the diagonal <e_1, ..., e_n>,
+    height h = 1, 2, ..., bound in turn, each height-h shell (max |y_i| = h)
+    in lexicographic order. The last coordinate is solved, not enumerated:
+    e_n t^2 = -(e_1 y_1^2 + ... + e_(n-1) y_(n-1)^2), and -t comes before +t.
+    The first zero y found is mapped back through P and made primitive.
+    """
+    entries, P = diagonalize(q)
+    if not _isotropic(entries):
+        return None
+    head, last = entries[:-1], entries[-1]
     for h in range(1, bound + 1):
-        for y in product(range(-h, h + 1), repeat=n):
-            if max(abs(c) for c in y) != h:
+        for p, on_shell in shell_prefixes(len(head), h):
+            t2, r = divmod(-sum(e * c * c for e, c in zip(head, p)), last)
+            if r or t2 < 0:
                 continue
-            if sum(entries[i] * y[i] * y[i] for i in range(n)) != 0:
+            t = isqrt(t2)
+            if t * t != t2 or t > h or not (on_shell or t == h):
                 continue
-            x = mat_vec(P, [Fraction(c) for c in y])
+            x = mat_vec(P, [Fraction(c) for c in p + (-t,)])
             den = 1
             for c in x:
                 den = den * c.denominator // gcd(den, c.denominator)

@@ -102,6 +102,15 @@ def test_quad_iso_and_spin(capsys):
     assert out == {"ramified": ["oo", 2]}
 
 
+@pytest.mark.parametrize(("gram", "stdout"), [
+    ("[[1,0,0],[0,1,0],[0,0,1]]", '{"isotropic": false, "witness": null}\n'),
+    ("[[1,1,0],[1,3,0],[0,0,-2]]", '{"isotropic": true, "witness": [1, -1, -1]}\n'),
+])
+def test_quad_iso_output_pinned(capsys, gram, stdout):
+    rc, out, err = run(capsys, "quad", "iso", "--json", gram, "--bound", "3")
+    assert (rc, out, err) == (0, stdout, "")
+
+
 def test_pf_pfaffian_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[[0, 5], [-5, 0]]"))
     out = run_json(capsys, "pf", "pfaffian")

@@ -20,11 +20,17 @@ from quadpencil import (
     stabilizer_rational,
 )
 from quadpencil.errors import DomainError
-from quadpencil.etale import all_square_roots
+from quadpencil.etale import AlgElement, all_square_roots
 from quadpencil.linalg import congruence, identity, mat_mul
-from quadpencil.polys import poly_from_ints
+from quadpencil.polys import Poly, poly_from_ints
 
-from util import frac_det, random_param, unimodular
+from util import (
+    frac_det,
+    random_monic_separable,
+    random_param,
+    reference_orbit_witness_search,
+    unimodular,
+)
 
 I2 = [[1, 0], [0, 1]]
 ANTIDIAG2 = [[0, 1], [1, 0]]
@@ -325,3 +331,60 @@ def test_witness_search():
     assert w is not None and w.alpha.norm() == -1
 
     assert orbit_witness_search(BinaryForm([-1, 0, -1]), 15) is None
+
+
+# leading coefficients: negative, rational, and with 4 to 12 divisors
+SEARCH_F0 = [Fraction(-1), Fraction(1), Fraction(-6), Fraction(12), Fraction(-30),
+             Fraction(60), Fraction(6, 5), Fraction(-2, 3), Fraction(2)]
+
+
+def test_orbit_witness_search_matches_cube_search():
+    """The same first (alpha, t) as the whole-cube scan."""
+    rng = random.Random(59)
+    top = {2: 5, 3: 3, 4: 2}
+    found = 0
+    for k in range(36):
+        n = 2 + k % 3
+        if k % 3 == 0:
+            f, _ = random_param(rng, n)
+        else:
+            g = random_monic_separable(rng, n)
+            if k % 3 == 2:  # a monic part with non-integral coefficients
+                g = Poly([c / 2 for c in g.coeffs[:-1]] + [Fraction(1)])
+            f = BinaryForm.from_monic_part(rng.choice(SEARCH_F0), g)
+        if not f.is_stable:
+            continue
+        bound = rng.randint(0, top[n])
+        w = orbit_witness_search(f, bound)
+        assert w == reference_orbit_witness_search(f, bound), (f, bound)
+        found += w is not None
+    assert found >= 10
+
+
+def test_obstructed_search_agrees_with_cube_search():
+    """A None from the real obstruction, confirmed by the cube scan."""
+    # (f, search bound, scan bound): an n = 4 cube at height 30 has 61^4 vectors
+    for cs, bound, scan in [([-1, 0, -1], 30, 30), ([-1, 0, 0, 0, -1], 30, 4),
+                            ([-3, 2, -5], 12, 12), ([-6, 0, -6, 0, -6], 4, 2)]:
+        f = BinaryForm(cs)
+        assert real_orbit_obstruction(f)
+        assert orbit_witness_search(f, bound) is None
+        assert reference_orbit_witness_search(f, scan) is None
+
+
+def test_orbit_witness_search_takes_one_norm_per_shell_vector(monkeypatch):
+    calls = []
+    norm = AlgElement.norm
+
+    def counted(self):
+        calls.append(self)
+        return norm(self)
+
+    monkeypatch.setattr(AlgElement, "norm", counted)
+    # t^2 = -(a^2 - 3 b^2) means 3 b^2 = a^2 + t^2: no witness at any height
+    f = BinaryForm([-1, 0, 3])
+    assert not real_orbit_obstruction(f)
+    for bound in range(4):
+        calls.clear()
+        assert orbit_witness_search(f, bound) is None
+        assert len(calls) == (2 * bound + 1) ** 2 - 1

@@ -1,6 +1,7 @@
 """Rational quadratic forms: diagonalization, local symbols, isotropy,
 equivalence, and even Clifford classes."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -26,9 +27,9 @@ from quadpencil.quadspace import (
 )
 
 from quadpencil.acceptance import _local_solvable
-from quadpencil.intutil import factorint
+from quadpencil.intutil import factorint, shell_prefixes
 
-from util import random_invertible
+from util import random_invertible, reference_isotropy_witness
 
 
 def diag(*entries):
@@ -183,6 +184,55 @@ def test_isotropic_diagonal_forms_have_small_witnesses():
         if is_isotropic(q):
             w = isotropy_witness(q, 30)
             assert w is not None and q.value(w) == 0
+
+
+def test_shell_prefixes_walk_the_shell_in_lexicographic_order():
+    for m in range(4):
+        for h in range(1, 4):
+            walked = [p + (c,) for p, on_shell in shell_prefixes(m, h)
+                      for c in range(-h, h + 1) if on_shell or abs(c) == h]
+            cube = [y for y in itertools.product(range(-h, h + 1), repeat=m + 1)
+                    if max(abs(c) for c in y) == h]
+            assert walked == cube
+
+
+def test_isotropy_witness_matches_cube_search():
+    """The same first witness as the whole-cube scan, diagonal or not."""
+    rng = random.Random(88)
+    nz = [x for x in range(-7, 8) if x]
+    top = {2: 8, 3: 8, 4: 6, 5: 3}
+    found = 0
+    for k in range(48):
+        n = 2 + k % 4
+        if k % 8 < 4:
+            q = diag(*(rng.choice(nz) for _ in range(n)))
+        else:
+            q = rand_form(rng, n, -3, 3)
+        bound = rng.randint(0, top[n])
+        w = isotropy_witness(q, bound)
+        assert w == reference_isotropy_witness(q, bound), (q, bound)
+        found += w is not None
+    assert found >= 20
+
+
+def test_certified_none_agrees_with_cube_search():
+    """Every None the isotropy certificate gives, the cube scan confirms."""
+    for q, expect, bound in ISOTROPY_CASES:
+        if not expect:
+            assert isotropy_witness(q, bound) is None
+            assert reference_isotropy_witness(q, bound) is None
+    rng = random.Random(89)
+    top = {2: 12, 3: 8, 4: 5, 5: 3}
+    for k in range(16):
+        n = 2 + k % 4
+        M = random_invertible(rng, n)
+        sign = rng.choice((1, -1))
+        G = [[sign * sum(M[r][i] * M[r][j] for r in range(n)) for j in range(n)]
+             for i in range(n)]
+        q = QuadForm(G)
+        assert not is_isotropic(q)
+        assert isotropy_witness(q, top[n]) is None
+        assert reference_isotropy_witness(q, top[n]) is None
 
 
 def test_forms_equivalent():

@@ -8,11 +8,14 @@ are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
 The reference ideal products keep the algebra-element route (products of
 basis elements mapped back by `to_basis`) that the integer-table products in
-`orders` replaced.
+`orders` replaced. The reference witness searches keep the whole-cube scans
+that the certificate-first, shell-only searches replaced: they decide
+nothing in advance, so a None from them is an independent brute-force check.
 """
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
+from math import gcd, lcm
 
 from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     random_integral_form,
@@ -21,8 +24,12 @@ from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     unimodular,
 )
 from quadpencil.errors import DomainError
-from quadpencil.linalg import hnf
+from quadpencil.etale import EtaleAlgebra
+from quadpencil.intutil import divisors, is_square_rational, rational_sqrt
+from quadpencil.linalg import hnf, mat_vec
 from quadpencil.orders import OrientedIdeal
+from quadpencil.pencil import OrbitParam
+from quadpencil.quadspace import diagonalize
 
 
 def frac_det(rows):
@@ -119,3 +126,51 @@ def reference_scalar_ideal(c, I):
 def reference_module_stable(I):
     """R_f * I = I, by membership of every product zeta_i * b in I."""
     return all(I.contains(z * b) for z in I.order.basis for b in I.basis_elements())
+
+
+def reference_isotropy_witness(q, bound):
+    """First zero y of the diagonal, height 1..bound, each whole cube
+    [-h, h]^n scanned in lexicographic order and filtered to max |y_i| = h;
+    mapped back through P and made primitive."""
+    entries, P = diagonalize(q)
+    n = len(entries)
+    for h in range(1, bound + 1):
+        for y in product(range(-h, h + 1), repeat=n):
+            if max(abs(c) for c in y) != h:
+                continue
+            if sum(entries[i] * y[i] * y[i] for i in range(n)) != 0:
+                continue
+            x = mat_vec(P, [Fraction(c) for c in y])
+            den = 1
+            for c in x:
+                den = den * c.denominator // gcd(den, c.denominator)
+            ints = [int(c * den) for c in x]
+            g = 0
+            for c in ints:
+                g = gcd(g, c)
+            return [c // g for c in ints]
+    return None
+
+
+def reference_orbit_witness_search(f, bound):
+    """First (alpha, t) with t^2 = f0 N(alpha): the whole cube [-h, h]^n at
+    each height, filtered to the shell, and a norm for every vector and
+    divisor of the numerator of f0."""
+    L = EtaleAlgebra(f.monic_part())
+    n = f.n
+    dens = divisors(f.f0.numerator) if abs(f.f0.numerator) != 1 else [1]
+    for h in range(bound + 1):
+        for vec in product(range(-h, h + 1), repeat=n):
+            if max((abs(v) for v in vec), default=0) != h:
+                continue
+            if all(v == 0 for v in vec):
+                continue
+            for den in dens:
+                alpha = L.element([Fraction(v, den) for v in vec])
+                nrm = alpha.norm()
+                if nrm == 0:
+                    continue
+                val = f.f0 * nrm
+                if is_square_rational(val):
+                    return OrbitParam(L, alpha, rational_sqrt(val))
+    return None
