@@ -15,7 +15,9 @@ from .errors import DomainError
 from .intutil import next_prime
 from .polys import Poly, squarefree_decomposition
 
-# GF(p)[x] polynomials: int lists in [0, p), low degree first, no top zeros.
+# Polynomials mod m: int lists in [0, m), low degree first, no top zeros.
+# gf_from_int, gf_add, gf_sub, gf_mul and gf_derivative work for any m >= 2,
+# and so does gf_divmod by a monic divisor; the rest need m = p prime.
 
 
 def _gf_strip(f):
@@ -171,50 +173,20 @@ def gf_factor_squarefree(f, p, rng=None):
     return out
 
 
-# Hensel lifting. Integer coefficient lists with arithmetic truncated mod m.
-
-
-def _zm_trunc(f, m):
-    return _gf_strip([c % m for c in f])
-
-
-def _zm_mul(f, g, m):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return _gf_strip(out)
-
-
-def _zm_divmod_monic(f, h, m):
-    """Division by monic h with coefficients mod m."""
-    assert h and h[-1] == 1
-    r = list(f)
-    dh = len(h) - 1
-    q = [0] * max(len(f) - dh, 0)
-    for k in range(len(r) - 1 - dh, -1, -1):
-        c = r[k + dh] % m
-        if c:
-            q[k] = c
-            for i, b in enumerate(h):
-                r[k + i] = (r[k + i] - c * b) % m
-    return _gf_strip([c % m for c in q]), _gf_strip([c % m for c in r[:dh]])
+# Hensel lifting, mod p^k with the helpers above that take any modulus.
 
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m^2."""
     M = m * m
-    e = gf_sub(_zm_trunc(f, M), _zm_mul(g, h, M), M)
-    q, r = _zm_divmod_monic(_zm_mul(s, e, M), h, M)
-    g1 = gf_add(g, gf_add(_zm_mul(t, e, M), _zm_mul(q, g, M), M), M)
+    e = gf_sub(gf_from_int(f, M), gf_mul(g, h, M), M)
+    q, r = gf_divmod(gf_mul(s, e, M), h, M)
+    g1 = gf_add(g, gf_add(gf_mul(t, e, M), gf_mul(q, g, M), M), M)
     h1 = gf_add(h, r, M)
-    b = gf_sub(gf_add(_zm_mul(s, g1, M), _zm_mul(t, h1, M), M), [1], M)
-    c, d = _zm_divmod_monic(_zm_mul(s, b, M), h1, M)
+    b = gf_sub(gf_add(gf_mul(s, g1, M), gf_mul(t, h1, M), M), [1], M)
+    c, d = gf_divmod(gf_mul(s, b, M), h1, M)
     s1 = gf_sub(s, d, M)
-    t1 = gf_sub(t, gf_add(_zm_mul(t, b, M), _zm_mul(c, g1, M), M), M)
+    t1 = gf_sub(t, gf_add(gf_mul(t, b, M), gf_mul(c, g1, M), M), M)
     return g1, h1, s1, t1
 
 
@@ -224,7 +196,7 @@ def _hensel_lift(p, f, factors, l):
     lc = f[-1]
     if r == 1:
         inv = pow(lc % p**l, -1, p**l)
-        return [_zm_trunc([c * inv for c in f], p**l)]
+        return [gf_from_int([c * inv for c in f], p**l)]
     k = r // 2
     d = 1
     while 2**d < l:
@@ -306,7 +278,7 @@ def _zassenhaus(F, rng):
         for S in combinations(alive, s):
             G = [f_cur[-1] % P]
             for i in S:
-                G = _zm_mul(G, lifted[i], P)
+                G = gf_mul(G, lifted[i], P)
             G = _primitive(_symmetric(G, P))
             if G[-1] < 0:
                 G = [-c for c in G]

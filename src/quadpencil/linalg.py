@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
 Matrices are plain lists of lists of Fractions (rows); everything is exact.
-`det` and `mat_mul` clear denominators row by row and work on Python
-integers, which avoids a gcd per Fraction operation; the rest is Fraction
-Gauss-Jordan, meant for desk scale (n <= 12 or so).
+`mat_mul` and the eliminations clear denominators row by row and work on
+Python integers, which avoids a gcd per Fraction operation. `det`, `solve`,
+`inverse` and `nullspace` share one fraction-free elimination loop,
+`_bareiss`; they form Fractions only from its integer results.
 """
 
 from fractions import Fraction
@@ -24,15 +25,6 @@ def identity(n):
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    c = Fraction(c)
-    return [[c * a for a in row] for row in A]
 
 
 def _int_rows(A):
@@ -61,105 +53,96 @@ def vec_mat(v, A):
     return [sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0]))]
 
 
+def _bareiss(M, ncols, jordan):
+    """Fraction-free elimination of the integer rows M, in place.
+
+    Pivots are taken in the first ncols columns; a swap negates the row it
+    moves down, so determinants keep their sign. Every division is exact
+    (Bareiss, Math. Comp. 22, 1968). Without jordan, only the rows below
+    each pivot are cleared, right of the pivot column, and the first column
+    without a pivot ends the loop. With jordan, every other row is cleared
+    in every column and a column without a pivot is skipped; then each pivot
+    equals the last one, d, and the pivot rows are d times the reduced row
+    echelon form (Nakos, Turner and Williams, SIGSAM Bull. 31(3), 1997).
+    Returns (pivot columns, d), with d = 1 when there is no pivot.
+    """
+    pivots = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(M):
+            break
+        if not M[r][c]:
+            piv = next((i for i in range(r + 1, len(M)) if M[i][c]), None)
+            if piv is None:
+                if jordan:
+                    continue
+                break
+            M[r], M[piv] = M[piv], [-x for x in M[r]]
+        top = M[r]
+        p = top[c]
+        cols = range(0 if jordan else c + 1, len(top))
+        for row in M[:r] + M[r + 1:] if jordan else M[r + 1:]:
+            a = row[c]
+            for j in cols:
+                row[j] = (p * row[j] - a * top[j]) // d
+        d = p
+        pivots.append(c)
+    return pivots, d
+
+
 def det(A):
-    """Determinant by Bareiss fraction-free elimination on integer rows.
+    """Determinant by Bareiss elimination on integer rows.
 
     Entries are ints or Fractions. Each row is scaled to integers by the lcm
     of its denominators, and the integer determinant is divided by the
-    product of those scales. Every division in the elimination is exact
-    (Bareiss, Math. Comp. 22, 1968).
+    product of those scales.
     """
-    n = len(A)
-    if n == 0:
-        return Fraction(1)
     scale = 1
     M = []
     for d, row in _int_rows(A):
         scale *= d
         M.append(row)
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        top = M[c]
-        p = top[c]
-        for r in range(c + 1, n):
-            row = M[r]
-            a = row[c]
-            for j in range(c + 1, n):
-                row[j] = (p * row[j] - a * top[j]) // prev
-        prev = p
-    return Fraction(sign * M[n - 1][n - 1], scale)
-
-
-def _reduce(M, ncols):
-    """Gauss-Jordan on the first ncols columns of M, in place; returns pivot columns.
-
-    Rows of M are Fractions; afterwards M is in reduced row echelon form there.
-    """
-    m = len(M)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-    return pivots
+    pivots, last = _bareiss(M, len(M), False)
+    return Fraction(last, scale) if len(pivots) == len(M) else Fraction(0)
 
 
 def solve(A, b):
     """Solve A x = b for square invertible A; b a vector."""
     n = len(A)
-    M = [
-        [Fraction(x) for x in row] + [bb]
-        for row, bb in zip(A, [Fraction(x) for x in b])
-    ]
-    if len(_reduce(M, n)) < n:
+    M = [row for _, row in _int_rows([*row, x] for row, x in zip(A, b))]
+    pivots, d = _bareiss(M, n, True)
+    if len(pivots) < n:
         raise DomainError("singular matrix in solve")
-    return [M[i][n] for i in range(n)]
+    return [Fraction(row[n], d) for row in M]
 
 
 def inverse(A):
     n = len(A)
-    M = [
-        [Fraction(x) for x in row] + ident_row
-        for row, ident_row in zip(A, identity(n))
-    ]
-    if len(_reduce(M, n)) < n:
+    M = [row for _, row in _int_rows(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(A))]
+    pivots, d = _bareiss(M, n, True)
+    if len(pivots) < n:
         raise DomainError("matrix not invertible")
-    return [row[n:] for row in M]
+    return [[Fraction(x, d) for x in row[n:]] for row in M]
 
 
 def nullspace(A):
-    """Basis (list of vectors) of the right kernel of A."""
+    """Basis (list of vectors) of the right kernel of A: one vector per
+    column without a pivot, read off the reduced row echelon form."""
     if not A:
         return []
-    M = [[Fraction(x) for x in row] for row in A]
-    n = len(M[0])
-    pivots = _reduce(M, n)
+    n = len(A[0])
+    M = [row for _, row in _int_rows(A)]
+    pivots, d = _bareiss(M, n, True)
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
+        for row, pc in zip(M, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 
@@ -173,7 +156,9 @@ def charpoly(A) -> Poly:
     c = -sum(M[i][i] for i in range(n))
     coeffs[n - 1] = c
     for k in range(2, n + 1):
-        M = mat_mul(A, mat_add(M, mat_scale(identity(n), c)))
+        for i in range(n):
+            M[i][i] += c
+        M = mat_mul(A, M)
         c = -Fraction(sum(M[i][i] for i in range(n)), k)
         coeffs[n - k] = c
     return Poly(coeffs)

@@ -133,19 +133,18 @@ def _require_stable(f: BinaryForm):
 
 
 def _cyclic_vector(T, seed=0):
-    """m with m, Tm, ..., T^(n-1)m independent, and the matrix Q of columns."""
+    """Independent vectors m, Tm, ..., T^(n-1)m and their determinant."""
     n = len(T)
     rng = random.Random(seed)
     tries = [[Fraction(1 if i == k else 0) for i in range(n)] for k in range(n)]
     while True:
         for m in tries:
-            cols = [m]
+            krylov = [m]
             for _ in range(n - 1):
-                cols.append(mat_vec(T, cols[-1]))
-            Q = [[cols[j][i] for j in range(n)] for i in range(n)]
-            d = det(Q)
+                krylov.append(mat_vec(T, krylov[-1]))
+            d = det(krylov)
             if d != 0:
-                return m, Q, d
+                return krylov, d
         tries = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(8)]
 
 
@@ -163,14 +162,9 @@ def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
     L = EtaleAlgebra(g)
     T = mat_mul(inverse(pair.A), pair.B)
     assert charpoly(T) == g
-    m, Q, dQ = _cyclic_vector(T, seed)
-    moments = []
-    v = m
-    for i in range(pair.n):
-        Av = mat_vec(pair.A, v)
-        moments.append(sum(mi * x for mi, x in zip(m, Av)))
-        if i < pair.n - 1:
-            v = mat_vec(T, v)
+    krylov, dQ = _cyclic_vector(T, seed)
+    Am = mat_vec(pair.A, krylov[0])
+    moments = [sum(a * x for a, x in zip(Am, v)) for v in krylov]
     kappa = euler_trace_solve(L, moments)
     alpha = kappa.inverse()
     t = Fraction(1) / dQ

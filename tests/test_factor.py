@@ -105,6 +105,48 @@ def test_gf_factor_against_trial_division():
             assert prod == f
 
 
+def int_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def int_divmod_monic(f, h):
+    """Schoolbook division over Z by a monic h."""
+    r = list(f)
+    q = [0] * max(len(f) - len(h) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(h) - 1]
+        for i, b in enumerate(h):
+            r[k + i] -= q[k] * b
+    return q, r[: len(h) - 1]
+
+
+def mod(f, m):
+    out = [c % m for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_gf_helpers_take_a_prime_power_modulus():
+    """Hensel lifting runs gf_from_int, gf_mul and division by a monic
+    divisor mod p^k; they agree there with integer schoolbook results."""
+    rng = random.Random(33)
+    for p, k in ((3, 4), (5, 3), (7, 2), (2, 6)):
+        m = p**k
+        for _ in range(40):
+            f = [rng.randint(-10**4, 10**4) for _ in range(rng.randint(1, 8))]
+            g = [rng.randint(-10**4, 10**4) for _ in range(rng.randint(1, 5))]
+            h = g[:-1] + [1]
+            assert gf_from_int(f, m) == mod(f, m)
+            assert gf_mul(gf_from_int(f, m), gf_from_int(g, m), m) == mod(int_mul(f, g), m)
+            q, r = int_divmod_monic(f, h)
+            assert gf_divmod(gf_from_int(f, m), gf_from_int(h, m), m) == (mod(q, m), mod(r, m))
+
+
 def test_factor_content_handling():
     # non-monic, non-primitive input
     p = Poly([Fraction(6), Fraction(0), Fraction(-6)])  # -6(x-1)(x+1)

@@ -10,7 +10,13 @@ import pytest
 from quadpencil.errors import DomainError
 from quadpencil.linalg import charpoly, det, hnf, inverse, mat_mul, nullspace, solve
 
-from util import frac_det, random_invertible
+from util import (
+    frac_det,
+    random_invertible,
+    reference_inverse,
+    reference_nullspace,
+    reference_solve,
+)
 
 
 def rand_mat(rng, m, n, lo=-4, hi=4):
@@ -136,12 +142,26 @@ def test_singular_input_raises():
     for _ in range(10):
         n = rng.randint(2, 5)
         A = low_rank(rng, n, n, n - 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^singular matrix in solve$"):
             solve(A, [1] * n)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix not invertible$"):
             inverse(A)
     with pytest.raises(DomainError):
         inverse([[0, 0], [0, 0]])
+    # rational low rank, a zero row, and 1 x 1 zero
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        A = product(rand_rat_mat(rng, n, n - 1), rand_rat_mat(rng, n - 1, n))
+        with pytest.raises(DomainError, match="^singular matrix in solve$"):
+            solve(A, [Fraction(1, 3)] * n)
+        with pytest.raises(DomainError, match="^matrix not invertible$"):
+            inverse(A)
+    zero_row = [[Fraction(1, 2), Fraction(-3, 5)], [Fraction(0), Fraction(0)]]
+    with pytest.raises(DomainError, match="^singular matrix in solve$"):
+        solve(zero_row, [1, 1])
+    for A in (zero_row, [[Fraction(0)]]):
+        with pytest.raises(DomainError, match="^matrix not invertible$"):
+            inverse(A)
 
 
 def test_nullspace_is_kernel_of_full_size():
@@ -159,6 +179,60 @@ def test_nullspace_is_kernel_of_full_size():
             assert frac_rank(basis) == len(basis)
     assert nullspace(unit(3)) == []
     assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
+
+
+def shaped(rng, m, n):
+    """An m x n matrix of one of the kinds the elimination must handle:
+    random rational entries with mixed denominators and signs, integers,
+    rank deficient, with a zero row, sparse (forcing row swaps), or zero."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    if kind == 1 and min(m, n) > 1:
+        r = rng.randint(1, min(m, n) - 1)
+        return product(rand_rat_mat(rng, m, r), rand_rat_mat(rng, r, n))
+    A = rand_rat_mat(rng, m, n)
+    if kind == 2:
+        A[rng.randrange(m)] = [Fraction(0)] * n
+    elif kind == 3:
+        A = [[x if rng.random() < 0.4 else Fraction(0) for x in row] for row in A]
+    elif kind == 4:
+        A = [[Fraction(0)] * n for _ in range(m)]
+    return A
+
+
+def outcome(f, *args):
+    """repr of f(*args), so that values and their types must both agree, or
+    the message of the DomainError it raised."""
+    try:
+        return repr(f(*args))
+    except DomainError as e:
+        return "DomainError: " + str(e)
+
+
+def test_solve_and_inverse_match_fraction_gauss_jordan():
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        A = shaped(rng, n, n)
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        assert det(A) == frac_det(A)
+        assert outcome(solve, A, b) == outcome(reference_solve, A, b)
+        assert outcome(inverse, A) == outcome(reference_inverse, A)
+    assert solve([[Fraction(-2, 3)]], [Fraction(5, 7)]) == [Fraction(-15, 14)]
+    assert inverse([[Fraction(-2, 3)]]) == [[Fraction(-3, 2)]]
+
+
+def test_nullspace_matches_fraction_gauss_jordan():
+    rng = random.Random(22)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        m = rng.choice([n, rng.randint(1, n), rng.randint(n, n + 3)])  # square, wide, tall
+        A = shaped(rng, m, n)
+        assert outcome(nullspace, A) == outcome(reference_nullspace, A)
+    assert nullspace([[Fraction(0)]]) == [[1]]
+    assert nullspace([[Fraction(3, 4)]]) == []
+    assert nullspace([]) == []
 
 
 def test_charpoly_matches_determinants():

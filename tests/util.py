@@ -11,6 +11,8 @@ basis elements mapped back by `to_basis`) that the integer-table products in
 `orders` replaced. The reference witness searches keep the whole-cube scans
 that the certificate-first, shell-only searches replaced: they decide
 nothing in advance, so a None from them is an independent brute-force check.
+The reference solve, inverse and nullspace keep the Fraction Gauss-Jordan
+elimination that the integer fraction-free kernel in `linalg` replaced.
 """
 
 from fractions import Fraction
@@ -174,3 +176,61 @@ def reference_orbit_witness_search(f, bound):
                 if is_square_rational(val):
                     return OrbitParam(L, alpha, rational_sqrt(val))
     return None
+
+
+def _reference_reduce(M, ncols):
+    """Fraction Gauss-Jordan on the first ncols columns of M, in place;
+    returns the pivot columns. Afterwards M is in reduced row echelon form there."""
+    m = len(M)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [x * inv for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    return pivots
+
+
+def reference_solve(A, b):
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(A, b)]
+    if len(_reference_reduce(M, n)) < n:
+        raise DomainError("singular matrix in solve")
+    return [M[i][n] for i in range(n)]
+
+
+def reference_inverse(A):
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A)]
+    if len(_reference_reduce(M, n)) < n:
+        raise DomainError("matrix not invertible")
+    return [row[n:] for row in M]
+
+
+def reference_nullspace(A):
+    if not A:
+        return []
+    M = [[Fraction(x) for x in row] for row in A]
+    n = len(M[0])
+    pivots = _reference_reduce(M, n)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -M[i][fc]
+        basis.append(v)
+    return basis
