@@ -34,10 +34,10 @@ from .orders import (
 )
 from .pencil import (
     OrbitParam,
+    _orbit_search,
     g_equivalent,
     h_equivalent,
     invariant_binary_form,
-    orbit_witness_search,
     param_to_pencil,
     pencil_to_param,
     real_orbit_obstruction,
@@ -46,11 +46,10 @@ from .pencil import (
 from .pfaffian import SkewTriple, pfaffian, pi_invariant, sl5_stable, sub_pfaffian_forms
 from .quadspace import (
     QuadForm,
+    _isotropy_search,
     forms_equivalent,
     gram_invariant,
     hilbert_symbol,
-    is_isotropic,
-    isotropy_witness,
     so_orbit_target,
     spin_obstruction,
 )
@@ -132,9 +131,9 @@ def cmd_pencil_real_obstruction(args):
 
 def cmd_pencil_search(args):
     f = jsonio.parse_form_arg(args.f)
-    p = orbit_witness_search(f, jsonio.parse_int_arg(args.bound, "--bound", lo=0))
+    obstructed, p = _orbit_search(f, jsonio.parse_int_arg(args.bound, "--bound", lo=0))
     if p is None:
-        _emit({"found": False, "real_obstruction": real_orbit_obstruction(f)})
+        _emit({"found": False, "real_obstruction": obstructed})
     else:
         _emit({"found": True, "alpha": jsonio.vec_to_json(p.alpha.coords),
                "t": jsonio.rat_to_json(p.t)})
@@ -220,9 +219,10 @@ def cmd_hyper(args):
 def cmd_quad_iso(args):
     q = jsonio.json_to_quadform(_payload(args))
     bound = jsonio.parse_int_arg(args.bound, "--bound", lo=0)
-    out = {"isotropic": is_isotropic(q)}
+    isotropic, witness = _isotropy_search(q, bound)
+    out = {"isotropic": isotropic}
     if bound:
-        out["witness"] = isotropy_witness(q, bound) if out["isotropic"] else None
+        out["witness"] = witness
     _emit(out)
 
 

@@ -4,7 +4,9 @@ Elements are coordinate vectors in the power basis 1, beta, ..., beta^(n-1)
 where beta is the class of x. The trace form identity
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
 the pencil module. Traces are dot products with the power sums
-p_k = Tr(beta^k), and norms are resultants N(a) = Res(g, a).
+p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
+one integer solve with the multiplication matrix M_a. Square roots use the
+norm method on each field component.
 """
 
 from fractions import Fraction
@@ -222,15 +224,21 @@ class AlgElement:
         return self * self._coerce(other).inverse()
 
     def mult_matrix(self):
-        """Matrix of multiplication by self in the power basis (columns a*beta^j)."""
-        n = self.A.n
-        cols = []
-        cur = self
-        for j in range(n):
-            cols.append(cur.coords)
-            if j < n - 1:
-                cur = cur * self.A.beta
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        """Matrix of multiplication by self in the power basis (columns a*beta^j).
+
+        Each column is the last one times beta: shifted up one place, less its
+        top coordinate times the monic g.
+        """
+        g = self.A.g.coeffs
+        col = self.coords
+        cols = [col]
+        for _ in range(self.A.n - 1):
+            top = col[-1]
+            col = (Fraction(0),) + col[:-1]
+            if top:
+                col = tuple(c - top * gc for c, gc in zip(col, g))
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
 
     def trace(self, shift=0) -> Fraction:
         """Tr(beta^shift * self) for 0 <= shift < 2n, a dot product with power sums."""
@@ -249,10 +257,12 @@ class AlgElement:
         return self.norm() != 0
 
     def inverse(self):
-        u, v, d = poly_gcdex(self.poly(), self.A.g)
-        if d.degree != 0:
-            raise DomainError("element is not invertible")
-        return self.A.from_poly(u * (1 / d.lc))
+        """The x with self * x = 1: one integer solve of M_self x = e_0."""
+        try:
+            x = mat_solve(self.mult_matrix(), [1] + [0] * (self.A.n - 1))
+        except DomainError:
+            raise DomainError("element is not invertible") from None
+        return AlgElement(self.A, tuple(x))
 
     def __repr__(self):
         return "AlgElement(%s)" % (tuple(str(c) for c in self.coords),)
@@ -273,34 +283,6 @@ def euler_trace_solve(A: EtaleAlgebra, targets):
     return A.element(kappa)
 
 
-def _alg_poly_divmod(f, g):
-    """Division of AlgElement-coefficient polynomials; lc(g) must be a unit."""
-    A = g[-1].A
-    inv = g[-1].inverse()
-    r = list(f)
-    dg = len(g) - 1
-    q = [A.zero] * max(len(r) - dg, 0)
-    for k in range(len(r) - 1 - dg, -1, -1):
-        c = r[k + dg] * inv
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] = r[k + i] - c * b
-    r = r[:dg]
-    while r and r[-1].is_zero:
-        r.pop()
-    return q, r
-
-
-def _alg_poly_gcd(f, g):
-    """Monic gcd of AlgElement-coefficient polynomials over a field component."""
-    a, b = list(f), list(g)
-    while b:
-        _, r = _alg_poly_divmod(a, b)
-        a, b = b, r
-    inv = a[-1].inverse()
-    return [c * inv for c in a]
-
-
 def _canonical_sign(c):
     """Flip so the first nonzero coordinate is positive."""
     for x in c.coords:
@@ -312,9 +294,15 @@ def _canonical_sign(c):
 def _component_sqrt(Li: EtaleAlgebra, a):
     """A root of z^2 = a in the field Li, or None.
 
-    Norm method: for a shift s making N_s(z) = Res_x(g_i(x), (z - s x)^2 - a(x))
-    squarefree, factor N_s over Q and look for a linear gcd with
-    (z - s beta)^2 - a over Li.
+    Norm method (Trager, SYMSAC 1976): take a shift s making
+    N_s(z) = Res_x(g_i(x), (z - s x)^2 - a(x)) squarefree. N_0(z) = chi_a(z^2)
+    comes from the characteristic polynomial of a; other shifts interpolate
+    2d + 1 resultants. If a is not a square in Li, N_s is irreducible over Q.
+    Otherwise N_s is the product of the distinct minimal polynomials of the
+    roots s beta + c and s beta - c of r(z) = (z - s beta)^2 - a, and a
+    factor F of degree d vanishes at exactly one of them. Reducing F modulo
+    the monic r leaves u z + v with u != 0, so that root is -v / u and
+    -v / u - s beta is a square root of a.
     """
     d = Li.n
     if d == 1:
@@ -328,32 +316,36 @@ def _component_sqrt(Li: EtaleAlgebra, a):
     for k in range(1, 10):
         shifts += [k, -k]
     for s in shifts:
-        pts = []
-        vals = []
-        z0 = 0
-        while len(pts) < 2 * d + 1:
-            q = (Poly([z0]) - s * X) ** 2 - apol
-            pts.append(Fraction(z0))
-            vals.append(resultant(gpol, q))
-            z0 = -z0 + (1 if z0 <= 0 else 0)
-        N = lagrange_interpolate(pts, vals)
+        if s == 0:
+            coeffs = [Fraction(0)] * (2 * d + 1)
+            coeffs[::2] = a.charpoly().coeffs
+            N = Poly(coeffs)
+        else:
+            pts = []
+            vals = []
+            z0 = 0
+            while len(pts) < 2 * d + 1:
+                q = (Poly([z0]) - s * X) ** 2 - apol
+                pts.append(Fraction(z0))
+                vals.append(resultant(gpol, q))
+                z0 = -z0 + (1 if z0 <= 0 else 0)
+            N = lagrange_interpolate(pts, vals)
         assert N.degree == 2 * d
         if is_squarefree(N):
             break
     else:
         raise AssertionError("no squarefree norm shift found")
-    beta = Li.beta
-    r_poly = [(s * beta) * (s * beta) - a, (-2 * s) * beta, Li.one]
-    for F, _ in factor_poly(N):
-        if F.degree > d:
-            continue
-        Fz = [Li.from_rational(c) for c in F.coeffs]
-        G = _alg_poly_gcd(r_poly, Fz)
-        if len(G) == 2:
-            root = -G[0] - s * beta
-            assert root * root == a
-            return root
-    return None
+    F = factor_poly(N)[0][0]
+    if F.degree > d:
+        return None
+    sbeta = s * Li.beta
+    c0 = sbeta * sbeta - a  # r(z) = z^2 - 2 s beta z + c0
+    u = v = Li.zero
+    for c in reversed(F.coeffs):  # (u z + v) z + c, with z^2 = 2 s beta z - c0
+        u, v = v + 2 * sbeta * u, c - c0 * u
+    root = -v * u.inverse() - sbeta
+    assert root * root == a
+    return root
 
 
 def sqrt_in_algebra(A: EtaleAlgebra, a):
@@ -363,7 +355,7 @@ def sqrt_in_algebra(A: EtaleAlgebra, a):
     canonicalized so each component image, then the whole element, has positive
     first nonzero coordinate.
     """
-    a = A.element(a.coords) if isinstance(a, AlgElement) else A.element(a)
+    a = A.one._coerce(a) if isinstance(a, AlgElement) else A.element(a)
     if not a.is_unit:
         raise DomainError("sqrt_in_algebra needs an invertible element")
     comp_roots = []

@@ -343,8 +343,13 @@ def orbit_witness_search(f: BinaryForm, bound: int):
     alpha = v / d over the positive divisors d of the numerator of f0 in
     increasing order. Each v takes one norm, since N(v / d) = N(v) / d^n.
     """
+    return _orbit_search(f, bound)[1]
+
+
+def _orbit_search(f: BinaryForm, bound: int):
+    """(real_orbit_obstruction(f), orbit_witness_search(f, bound)) in one pass."""
     if real_orbit_obstruction(f):
-        return None
+        return True, None
     L = EtaleAlgebra(f.monic_part())
     n = f.n
     dens = divisors(f.f0.numerator) if abs(f.f0.numerator) != 1 else [1]
@@ -359,5 +364,5 @@ def orbit_witness_search(f: BinaryForm, bound: int):
                     val = f.f0 * nrm / den**n
                     if is_square_rational(val):
                         alpha = L.element([Fraction(v, den) for v in vec])
-                        return OrbitParam(L, alpha, rational_sqrt(val))
-    return None
+                        return False, OrbitParam(L, alpha, rational_sqrt(val))
+    return False, None

@@ -229,9 +229,14 @@ def isotropy_witness(q: QuadForm, bound: int):
     e_n t^2 = -(e_1 y_1^2 + ... + e_(n-1) y_(n-1)^2), and -t comes before +t.
     The first zero y found is mapped back through P and made primitive.
     """
+    return _isotropy_search(q, bound)[1]
+
+
+def _isotropy_search(q: QuadForm, bound: int):
+    """(is_isotropic(q), isotropy_witness(q, bound)) from one diagonalization."""
     entries, P = diagonalize(q)
     if not _isotropic(entries):
-        return None
+        return False, None
     head, last = entries[:-1], entries[-1]
     for h in range(1, bound + 1):
         for p, on_shell in shell_prefixes(len(head), h):
@@ -251,8 +256,8 @@ def isotropy_witness(q: QuadForm, bound: int):
                 g = gcd(g, c)
             ints = [c // g for c in ints]
             assert q.value(ints) == 0
-            return ints
-    return None
+            return True, ints
+    return True, None
 
 
 def forms_equivalent(q1: QuadForm, q2: QuadForm) -> bool:

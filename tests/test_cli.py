@@ -1,7 +1,9 @@
 """End-to-end command-line checks: pinned payloads and exit codes."""
 
+import importlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -109,6 +111,36 @@ def test_quad_iso_and_spin(capsys):
 def test_quad_iso_output_pinned(capsys, gram, stdout):
     rc, out, err = run(capsys, "quad", "iso", "--json", gram, "--bound", "3")
     assert (rc, out, err) == (0, stdout, "")
+
+
+@pytest.mark.parametrize(("argv", "target", "stdout"), [
+    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 3", "quadspace.diagonalize",
+     '{"isotropic": true, "witness": [1, -1, -1]}\n'),
+    ("quad iso --json [[1,0,0],[0,1,0],[0,0,1]] --bound 3", "quadspace.diagonalize",
+     '{"isotropic": false, "witness": null}\n'),
+    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 0", "quadspace.diagonalize",
+     '{"isotropic": true}\n'),
+    ("pencil search --f -1,0,-1 --bound 20", "pencil.real_orbit_obstruction",
+     '{"found": false, "real_obstruction": true}\n'),
+    ("pencil search --f -1,0,1 --bound 0", "pencil.real_orbit_obstruction",
+     '{"found": false, "real_obstruction": false}\n'),
+    ("pencil search --f 2,0,0,1 --bound 2", "pencil.real_orbit_obstruction",
+     '{"found": true, "alpha": ["0", "-1/2", "-1/2"], "t": "1/4"}\n'),
+])
+def test_search_commands_decide_once(capsys, monkeypatch, argv, target, stdout):
+    module, name = target.split(".")
+    fn = getattr(importlib.import_module("quadpencil." + module), name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in list(sys.modules.values()):  # every alias, the CLI's imports too
+        if mod.__name__.startswith("quadpencil") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    rc, out, err = run(capsys, *argv.split())
+    assert (rc, out, err, len(calls)) == (0, stdout, "", 1)
 
 
 def test_pf_pfaffian_stdin(capsys, monkeypatch):

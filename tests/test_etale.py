@@ -7,10 +7,23 @@ import pytest
 
 from quadpencil import EtaleAlgebra, Poly
 from quadpencil.errors import DomainError
-from quadpencil.etale import all_square_roots, euler_trace_solve, sqrt_in_algebra
-from quadpencil.polys import poly_from_ints
+from quadpencil.etale import (
+    _canonical_sign,
+    _component_sqrt,
+    all_square_roots,
+    euler_trace_solve,
+    sqrt_in_algebra,
+)
+from quadpencil.polys import is_squarefree, poly_from_ints
 
-from util import frac_det, random_monic_separable
+from util import (
+    frac_det,
+    random_monic_separable,
+    reference_alg_inverse,
+    reference_component_norm,
+    reference_component_sqrt,
+    reference_mult_matrix,
+)
 
 
 def rand_element(rng, A, lo=-4, hi=4):
@@ -174,3 +187,126 @@ def test_sqrt_deterministic():
     A = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
     a = A.from_rational(4)
     assert sqrt_in_algebra(A, a) == sqrt_in_algebra(A, a)
+
+
+def rand_algebra(rng, n):
+    """Integral, non-integral or reducible monic squarefree g of degree n."""
+    kind = rng.randrange(3)
+    if kind == 2 and n >= 2:
+        k = rng.randint(1, n - 1)
+        g = random_monic_separable(rng, k) * random_monic_separable(rng, n - k)
+    elif kind == 1:
+        g = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] + [1])
+    else:
+        g = random_monic_separable(rng, n)
+    return EtaleAlgebra(g) if is_squarefree(g) else rand_algebra(rng, n)
+
+
+def rand_sparse(rng, A):
+    """Rational coordinates, about a third of them zero."""
+    return A.element([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.randrange(3)
+                      else Fraction(0) for _ in range(A.n)])
+
+
+def test_mult_matrix_matches_column_products():
+    rng = random.Random(53)
+    for n in range(1, 9):
+        for _ in range(4):
+            A = rand_algebra(rng, n)
+            for a in (rand_sparse(rng, A), A.zero, A.one, A.beta_pow(n - 1)):
+                assert repr(a.mult_matrix()) == repr(reference_mult_matrix(a)), (A, a)
+
+
+def test_inverse_matches_euclid_reference():
+    rng = random.Random(49)
+    for n in range(1, 9):
+        for _ in range(6):
+            A = rand_algebra(rng, n)
+            a = rand_sparse(rng, A)
+            try:
+                want = reference_alg_inverse(a)
+            except DomainError as e:
+                with pytest.raises(DomainError, match=str(e)):
+                    a.inverse()
+                continue
+            got = a.inverse()
+            assert repr(got.coords) == repr(want.coords), (A, a)
+            assert a * got == A.one
+
+
+def test_inverse_of_zero_divisor_raises():
+    g = poly_from_ints([-1, 1]) * poly_from_ints([1, 0, 1]) * poly_from_ints([-2, 0, 1])
+    A = EtaleAlgebra(g)
+    for a in (A.zero, A.beta - A.one, A.beta * A.beta + A.one, A.from_poly(g // poly_from_ints([-1, 1]))):
+        assert not a.is_unit
+        with pytest.raises(DomainError, match="element is not invertible"):
+            a.inverse()
+    with pytest.raises(DomainError, match="element is not invertible"):
+        EtaleAlgebra(poly_from_ints([3, 1])).zero.inverse()
+
+
+def test_charpoly_norm_equals_interpolated_norm():
+    rng = random.Random(50)
+    for n in range(1, 9):
+        for _ in range(4):
+            A = rand_algebra(rng, n)
+            a = rand_sparse(rng, A)
+            want = reference_component_norm(A, a, 0)
+            chi = a.charpoly()
+            assert want == Poly([chi[k // 2] if k % 2 == 0 else 0 for k in range(2 * n + 1)])
+
+
+def test_component_sqrt_matches_euclid_reference():
+    rng = random.Random(51)
+    squares = 0
+    for n in range(1, 9):
+        for _ in range(3):
+            A = rand_algebra(rng, n)
+            for _, Li in A.components():
+                c = rand_sparse(rng, Li)
+                while c.is_zero:
+                    c = rand_sparse(rng, Li)
+                x = c.coords[0] or Fraction(3, 2)
+                cases = [c * c, c, Li.element([0] * (Li.n - 1) + [x])]
+                # rationals, and beta^2 when g is even, need a shift s != 0
+                cases += [Li.from_rational(x * x), Li.from_rational(-x)]
+                cases += [Li.beta * Li.beta] if Li.n > 1 else []
+                for a in cases:
+                    got, want = _component_sqrt(Li, a), reference_component_sqrt(Li, a)
+                    if want is None:
+                        assert got is None, (Li, a)
+                    else:
+                        squares += 1
+                        assert repr(got.coords) == repr(want.coords), (Li, a)
+    assert squares >= 60
+
+
+def test_sqrt_in_algebra_matches_euclid_reference():
+    rng = random.Random(52)
+    for n in range(1, 9):
+        for _ in range(3):
+            A = rand_algebra(rng, n)
+            c = rand_sparse(rng, A)
+            if not c.is_unit:
+                continue
+            for a in (c * c, c):
+                roots = []
+                for i, (_, Li) in enumerate(A.components()):
+                    ci = reference_component_sqrt(Li, A.project(a, i))
+                    if ci is None:
+                        break
+                    roots.append(_canonical_sign(ci))
+                else:
+                    want = _canonical_sign(A.lift_components(roots))
+                    assert sqrt_in_algebra(A, a) == want
+                    continue
+                assert sqrt_in_algebra(A, a) is None
+
+
+def test_sqrt_rejects_element_of_another_algebra():
+    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))
+    B = EtaleAlgebra(poly_from_ints([-3, 0, 1]))
+    for fn in (sqrt_in_algebra, all_square_roots):
+        with pytest.raises(DomainError, match="elements of different algebras"):
+            fn(A, B.element([2]))
+    assert sqrt_in_algebra(A, EtaleAlgebra(poly_from_ints([-2, 0, 1])).element([2])) == A.beta

@@ -13,6 +13,12 @@ that the certificate-first, shell-only searches replaced: they decide
 nothing in advance, so a None from them is an independent brute-force check.
 The reference solve, inverse and nullspace keep the Fraction Gauss-Jordan
 elimination that the integer fraction-free kernel in `linalg` replaced.
+The reference multiplication matrix keeps the column-by-column products
+a * beta^j that the shifted columns replaced, the reference algebra inverse
+keeps the extended Euclid over Q that one solve with that matrix replaced,
+and the reference component square root keeps the resultant-interpolated
+norm N_0 and the Euclidean gcd over the field that the characteristic-
+polynomial norm and the reduction modulo (z - s beta)^2 - a replaced.
 """
 
 from fractions import Fraction
@@ -27,10 +33,12 @@ from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
 )
 from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra
+from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt
 from quadpencil.linalg import hnf, mat_vec
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam
+from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
 from quadpencil.quadspace import diagonalize
 
 
@@ -234,3 +242,80 @@ def reference_nullspace(A):
             v[pc] = -M[i][fc]
         basis.append(v)
     return basis
+
+
+def reference_mult_matrix(a):
+    """Matrix of multiplication by a, column j the coordinates of a * beta^j."""
+    cols = [(a * a.A.beta_pow(j)).coords for j in range(a.A.n)]
+    return [[col[i] for col in cols] for i in range(a.A.n)]
+
+
+def reference_alg_inverse(a):
+    """Inverse of an algebra element by the extended Euclid over Q."""
+    u, v, d = poly_gcdex(a.poly(), a.A.g)
+    if d.degree != 0:
+        raise DomainError("element is not invertible")
+    return a.A.from_poly(u * (1 / d.lc))
+
+
+def reference_component_norm(Li, a, s):
+    """N_s(z) = Res_x(g(x), (z - s x)^2 - a(x)), interpolated at 2d + 1 points."""
+    pts, vals = [], []
+    z0 = 0
+    while len(pts) < 2 * Li.n + 1:
+        q = (Poly([z0]) - s * X) ** 2 - a.poly()
+        pts.append(Fraction(z0))
+        vals.append(resultant(Li.g, q))
+        z0 = -z0 + (1 if z0 <= 0 else 0)
+    return lagrange_interpolate(pts, vals)
+
+
+def _reference_alg_poly_divmod(f, g):
+    A = g[-1].A
+    inv = reference_alg_inverse(g[-1])
+    r = list(f)
+    dg = len(g) - 1
+    q = [A.zero] * max(len(r) - dg, 0)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        c = r[k + dg] * inv
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] = r[k + i] - c * b
+    r = r[:dg]
+    while r and r[-1].is_zero:
+        r.pop()
+    return q, r
+
+
+def _reference_alg_poly_gcd(f, g):
+    a, b = list(f), list(g)
+    while b:
+        _, r = _reference_alg_poly_divmod(a, b)
+        a, b = b, r
+    inv = reference_alg_inverse(a[-1])
+    return [c * inv for c in a]
+
+
+def reference_component_sqrt(Li, a):
+    """A root of z^2 = a in the field Li or None, by interpolated norms and a
+    Euclidean gcd over Li."""
+    d = Li.n
+    if d == 1:
+        val = a.coords[0]
+        return Li.element([rational_sqrt(val)]) if is_square_rational(val) else None
+    shifts = [0]
+    for k in range(1, 10):
+        shifts += [k, -k]
+    for s in shifts:
+        N = reference_component_norm(Li, a, s)
+        if is_squarefree(N):
+            break
+    beta = Li.beta
+    r_poly = [(s * beta) * (s * beta) - a, (-2 * s) * beta, Li.one]
+    for F, _ in factor_poly(N):
+        if F.degree > d:
+            continue
+        G = _reference_alg_poly_gcd(r_poly, [Li.from_rational(c) for c in F.coeffs])
+        if len(G) == 2:
+            return -G[0] - s * beta
+    return None
