@@ -283,9 +283,9 @@ def _zassenhaus(F, rng):
             if G[-1] < 0:
                 G = [-c for c in G]
             q, r = Poly(f_cur).divmod(Poly(G))
-            if r.is_zero and all(c.denominator == 1 for c in q.coeffs):
+            if r.is_zero and q.den == 1:
                 result.append(G)
-                f_cur = [int(c) for c in q.coeffs]
+                f_cur = list(q.num)
                 alive = [i for i in alive if i not in S]
                 found = True
                 break
@@ -314,8 +314,7 @@ def factor_poly(p: Poly):
     _, sqf = squarefree_decomposition(p)
     for q, mult in sqf:
         P, _ = q.primitive_int()
-        ints = [int(x) for x in P.coeffs]
-        for fac in _zassenhaus(ints, rng):
+        for fac in _zassenhaus(list(P.num), rng):
             out.append((Poly(fac).monic(), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out

@@ -95,8 +95,9 @@ def det(A):
     """Determinant by Bareiss elimination on integer rows.
 
     Entries are ints or Fractions. Each row is scaled to integers by the lcm
-    of its denominators, and the integer determinant is divided by the
-    product of those scales.
+    of its denominators, 1 for a row of ints, and the integer determinant is
+    divided by the product of those scales; a caller that has cleared the
+    denominators of a whole matrix once passes its int entries.
     """
     scale = 1
     M = []

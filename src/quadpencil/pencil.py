@@ -9,6 +9,7 @@ same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 import random
 
 from .binforms import BinaryForm
@@ -113,14 +114,13 @@ def invariant_binary_form(pair: SymPair) -> BinaryForm:
     """f(x,y) = (-1)^(n(n-1)/2) det(xA - yB), coefficients f0..fn."""
     n = pair.n
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    xs = [Fraction(k) for k in range(n + 1)]
-    ys = []
-    for s in xs:
-        M = [
-            [s * pair.A[i][j] - pair.B[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(det(M))
+    # det(sA - B) = det(sA' - B') / D^n with A' = DA, B' = DB integer matrices
+    D = lcm(*(x.denominator for row in pair.A + pair.B for x in row))
+    A = [[x.numerator * (D // x.denominator) for x in row] for row in pair.A]
+    B = [[x.numerator * (D // x.denominator) for x in row] for row in pair.B]
+    xs = list(range(n + 1))
+    ys = [det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]) / D**n
+          for s in xs]
     q = lagrange_interpolate(xs, ys)  # det(sA - B) as a polynomial in s
     return BinaryForm([sign * q[n - i] for i in range(n + 1)])
 

@@ -1,47 +1,102 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are stored low-degree first as a tuple of Fractions with no
-trailing zeros; the zero polynomial is the empty tuple. All arithmetic is
-exact.
+A Poly stores one tuple of integer numerators `num`, low degree first with
+no trailing zeros, over one positive integer denominator `den`, reduced so
+that gcd(num..., den) = 1; the zero polynomial is ((), 1). Arithmetic runs
+on the integers: sums align the two denominators, products convolve the
+numerators, and division is integer pseudo-division. `coeffs`, `lc` and
+indexing give the coefficients as Fractions, and `Poly(...)` accepts
+anything `Fraction()` accepts. All arithmetic is exact.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from math import lcm as int_lcm
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import DomainError
 
 
-def _norm(coeffs):
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _make(num, den=1):
+    """The Poly num / den, from a list of ints (consumed) and a nonzero int."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        if den < 0:
+            num, den = [-c for c in num], -den
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = object.__new__(Poly)
+    p.num, p.den, p._coeffs = tuple(num), den, None
+    return p
+
+
+def _pdiv(A, B):
+    """Pseudo-division of integer coefficient lists, low first, B nonzero.
+
+    Returns (Q, R, e) with lc(B)^e * A = Q*B + R and deg R < deg B. A step
+    scales by lc(B) only when lc(B) does not divide its leading coefficient,
+    so e = 0 when lc(B) = +-1 (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
+    """
+    d = len(B) - 1
+    lb = B[-1]
+    R = list(A)
+    Q = [0] * max(len(A) - d, 0)
+    e = 0
+    for k in range(len(Q) - 1, -1, -1):
+        c = R[k + d]
+        if not c:
+            continue
+        t, rem = divmod(c, lb)
+        if rem:
+            # only R[:k + d] is still read
+            R = [lb * x for x in R[:k + d]]
+            Q = [lb * x for x in Q]
+            e += 1
+            t = c
+        Q[k] = t
+        for i in range(d):
+            R[k + i] -= t * B[i]
+    return Q, R[:d], e
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        self.coeffs = _norm(coeffs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        p = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        self.num, self.den, self._coeffs = p.num, p.den, None
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions, low degree first."""
+        if self._coeffs is None:
+            d = self.den
+            self._coeffs = tuple(Fraction(c, d) for c in self.num)
+        return self._coeffs
 
     @property
     def degree(self):
         """Degree, -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.num
 
     def __getitem__(self, k):
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.num):
             return self.coeffs[k]
         return Fraction(0)
 
@@ -54,47 +109,54 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _make([-c for c in self.num], self.den)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         if not isinstance(other, Poly):
             other = Poly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // other.den) for x in b]
+        if sign > 0:
+            return _make([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
+        return _make([x - y for x, y in zip_longest(a, b, fillvalue=0)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] - other[i] for i in range(n)])
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
+            c = other.numerator
+            return _make([x * c for x in self.num], self.den * other.denominator)
+        A, B = self.num, other.num
+        if not A or not B:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(A) + len(B) - 1)
+        for i, a in enumerate(A):
+            if a:
+                for j, b in enumerate(B, i):
+                    out[j] += a * b
+        return _make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -111,21 +173,19 @@ class Poly:
         return out
 
     def divmod(self, other):
-        """Euclidean division; other must be nonzero."""
+        """Euclidean division; other must be nonzero.
+
+        With l^e * self.num = Q * other.num + R over the integers, l the
+        leading numerator of other, the quotient is Q * other.den / (l^e *
+        self.den) and the remainder is R / (l^e * self.den).
+        """
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
-        r = list(self.coeffs)
-        d = other.degree
-        inv_lc = 1 / other.lc
-        for k in range(len(r) - 1 - d, -1, -1):
-            c = r[k + d] * inv_lc
-            if c == 0:
-                continue
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= c * b
-        return Poly(q), Poly(r[:d] if d > 0 else [])
+        Q, R, e = _pdiv(self.num, other.num)
+        den = other.num[-1] ** e * self.den
+        if other.den != 1:
+            Q = [other.den * c for c in Q]
+        return _make(Q, den), _make(R, den)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -134,18 +194,12 @@ class Poly:
         return self.divmod(other)[1]
 
     def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _make([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def monic(self):
         if self.is_zero:
             return self
-        return self * (1 / self.lc)
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return self * Fraction(self.den, self.num[-1])
 
     def primitive_int(self):
         """(P, c) with self = c * P, P a primitive integer-coefficient Poly.
@@ -155,12 +209,8 @@ class Poly:
         """
         if self.is_zero:
             return self, Fraction(1)
-        den = int_lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, c)
-        return Poly([c // g for c in ints]), Fraction(g, den)
+        g = gcd(*self.num)
+        return _make([c // g for c in self.num]), Fraction(g, self.den)
 
     def __repr__(self):
         if self.is_zero:
@@ -176,7 +226,7 @@ X = Poly((0, 1))
 
 
 def poly_from_ints(cs):
-    return Poly([Fraction(c) for c in cs])
+    return Poly(cs)
 
 
 def _prem(A, B):
@@ -184,14 +234,9 @@ def _prem(A, B):
 
     lc(B)^(deg A - deg B + 1) * A = Q*B + R with deg R < deg B.
     """
-    dA, dB = len(A) - 1, len(B) - 1
-    lb = B[-1]
-    R = list(A)
-    for k in range(dA - dB, -1, -1):
-        c = R[dB + k]
-        R = [lb * t for t in R]
-        for i, bi in enumerate(B):
-            R[i + k] -= c * bi
+    _, R, e = _pdiv(A, B)
+    f = B[-1] ** (len(A) - len(B) + 1 - e)
+    R = [f * c for c in R]
     while R and R[-1] == 0:
         R.pop()
     return R
@@ -252,7 +297,7 @@ def resultant(p: Poly, q: Poly) -> Fraction:
         return q.lc**p.degree
     P, cp = p.primitive_int()
     Q, cq = q.primitive_int()
-    r = _subresultant_int([int(c) for c in P.coeffs], [int(c) for c in Q.coeffs])
+    r = _subresultant_int(P.num, Q.num)
     return cp**q.degree * cq**p.degree * r
 
 

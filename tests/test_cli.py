@@ -178,6 +178,14 @@ def test_exit_code_hilbert_zero(capsys):
     assert rc == 2
 
 
+def test_exit_code_hilbert_composite_place(capsys):
+    # 318665857834031151167461 passes Miller-Rabin to the bases 2..37
+    rc, out, err = run(capsys, "quad", "hilbert", "--a", "2", "--b", "3",
+                       "--place", "318665857834031151167461")
+    assert rc == 2 and out == ""
+    assert "place must be 0 or a prime" in err
+
+
 H_EQUIV_PAYLOAD = json.dumps({"p1": {"g": ["1", "0", "1"], "alpha": ["1"], "t": "1"},
                               "p2": {"g": ["1", "0", "1"], "alpha": ["1"], "t": "1"}})
 

@@ -28,6 +28,7 @@ from util import (
     frac_det,
     random_monic_separable,
     random_param,
+    reference_invariant_form,
     reference_orbit_witness_search,
     unimodular,
 )
@@ -66,6 +67,40 @@ def test_invariant_form_determinant_oracle():
             for y in range(-2, 3):
                 M = [[x * A[i][j] - y * B[i][j] for j in range(n)] for i in range(n)]
                 assert f(x, y) == sign * frac_det(M)
+
+
+def random_symmetric(rng, n, rational):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rational:
+                x = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 10, 999_983]))
+            else:
+                x = Fraction(rng.randint(-4, 4))
+            M[i][j] = M[j][i] = x
+    return M
+
+
+def test_invariant_form_matches_fraction_matrices():
+    # integer matrices over one denominator against Fraction matrices sA - B
+    rng = random.Random(52)
+    pairs = [SymPair([[Fraction(3, 4)]], [[Fraction(-5, 6)]]),  # n = 1
+             SymPair([[0]], [[2]]),
+             SymPair([[1, 1], [1, 1]], [[Fraction(1, 2), 0], [0, 3]])]  # singular A
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        A = random_symmetric(rng, n, rng.random() < 0.6)
+        B = random_symmetric(rng, n, rng.random() < 0.6)
+        if rng.random() < 0.25 and n > 1:
+            A[0] = [Fraction(0)] * n  # singular A
+            for row in A:
+                row[0] = Fraction(0)
+        pairs.append(SymPair(A, B))
+    for pair in pairs:
+        f = invariant_binary_form(pair)
+        want = reference_invariant_form(pair)
+        assert f.coeffs == want and hash(f.coeffs) == hash(want)
+        assert all(type(c) is Fraction for c in f.coeffs)
 
 
 def test_to_param_pinned():

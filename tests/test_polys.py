@@ -1,5 +1,6 @@
 """Exact polynomial layer: division, resultants, discriminants, real roots."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,14 @@ from quadpencil.polys import (
     squarefree_decomposition,
 )
 
-from util import cubic_disc, quadratic_disc, sylvester_resultant
+from util import (
+    ReferencePoly,
+    cubic_disc,
+    quadratic_disc,
+    reference_poly_gcd,
+    reference_squarefree_decomposition,
+    sylvester_resultant,
+)
 
 
 def rand_poly(rng, deg, lo=-6, hi=6):
@@ -243,3 +251,119 @@ def test_from_monic_part_needs_monic():
     assert BinaryForm.from_monic_part(2, Poly([3, 0, 1])).coeffs == (2, 0, 6)
     with pytest.raises(DomainError):
         BinaryForm.from_monic_part(2, Poly([3, 0, 2]))
+
+
+# Differential checks against ReferencePoly, the tuple-of-Fractions polynomial
+# that the integer numerators over one denominator replaced: every result must
+# carry the same Fraction coefficients and the same hash.
+
+BIG_DENS = [999_983, 1_000_003, 2**61 - 1, 3**20, 10**12 + 39]
+
+
+def rand_rational_poly(rng, deg):
+    """A Poly of degree deg with small, rational or large-denominator
+    coefficients and a leading coefficient of either sign."""
+    kind = rng.randrange(3)
+    while True:
+        cs = []
+        for _ in range(deg + 1):
+            if kind == 0:
+                cs.append(Fraction(rng.randint(-9, 9)))
+            elif kind == 1:
+                cs.append(Fraction(rng.randint(-20, 20), rng.randint(1, 12)))
+            else:
+                cs.append(Fraction(rng.randint(-10**6, 10**6), rng.choice(BIG_DENS)))
+        p = Poly(cs)
+        if p.degree == deg:
+            return p
+
+
+def operand_pairs(rng, count):
+    """Random pairs plus zero, constants, and pairs whose leading terms cancel."""
+    zero, one = Poly(), Poly([1])
+    pairs = [(zero, zero), (zero, one), (one, zero), (Poly([Fraction(-3, 7)]), one),
+             (Poly([0, 0, Fraction(1, 2)]), Poly([Fraction(5, 3)]))]
+    for _ in range(count):
+        p = rand_rational_poly(rng, rng.randint(0, 6))
+        q = rand_rational_poly(rng, rng.randint(0, 5))
+        pairs.append((p, q))
+        if p.degree >= 1 and rng.random() < 0.5:
+            # same degree, leading coefficients cancel in p + q
+            tail = rand_rational_poly(rng, rng.randint(0, p.degree - 1))
+            pairs.append((p, Poly(list(tail.coeffs) + [0] * (p.degree - tail.degree - 1)
+                                  + [-p.lc])))
+    return pairs
+
+
+def ref(p):
+    return ReferencePoly(p.coeffs)
+
+
+def assert_same(p, r):
+    assert type(p.coeffs) is tuple and all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == r.coeffs
+    assert hash(p) == hash(r)
+    assert p.den > 0 and (not p.num or p.num[-1] != 0)
+    assert math.gcd(p.den, *p.num) == 1
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(31)
+    for p, q in operand_pairs(rng, 150):
+        rp, rq = ref(p), ref(q)
+        assert_same(p, rp)
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(p * q, rp * rq)
+        for c in (0, -2, Fraction(-5, 12), Fraction(7, 999_983)):
+            assert_same(p * c, rp * c)
+            assert_same(c * p, rp * c)
+            assert_same(p + c, rp + ReferencePoly([c]))
+            assert_same(c - p, ReferencePoly([c]) - rp)
+        assert_same(-p, rp * -1)
+        assert_same(p.derivative(), rp.derivative())
+        assert_same(p.monic(), rp.monic())
+        P, c = p.primitive_int()
+        rP, rc = rp.primitive_int()
+        assert_same(P, rP)
+        assert P.den == 1 and c == rc and type(c) is Fraction
+        assert p.lc == rp.lc and type(p.lc) is Fraction
+        assert (p == q) == (rp == rq) and p == Poly(rp.coeffs)
+        if not q.is_zero:
+            quo, rem = p.divmod(q)
+            rquo, rrem = rp.divmod(rq)
+            assert_same(quo, rquo)
+            assert_same(rem, rrem)
+            assert_same(p // q, rquo)
+            assert_same(p % q, rrem)
+
+
+def test_divmod_by_monic_integer_and_negative_leading_divisors():
+    rng = random.Random(32)
+    for _ in range(80):
+        p = rand_rational_poly(rng, rng.randint(0, 8))
+        d = rng.randint(1, 5)
+        lead = rng.choice([1, -1, 2, -3, Fraction(-2, 5), Fraction(7, 3)])
+        q = Poly([rng.randint(-9, 9) for _ in range(d)] + [lead])
+        quo, rem = p.divmod(q)
+        rquo, rrem = ref(p).divmod(ref(q))
+        assert_same(quo, rquo)
+        assert_same(rem, rrem)
+
+
+def test_resultant_gcd_and_squarefree_match_fraction_reference():
+    rng = random.Random(33)
+    for p, q in operand_pairs(rng, 60):
+        assert resultant(p, q) == sylvester_resultant(ref(p), ref(q))
+        assert_same(poly_gcd(p, q), reference_poly_gcd(ref(p), ref(q)))
+    for _ in range(40):
+        a = rand_rational_poly(rng, rng.randint(0, 3))
+        b = rand_rational_poly(rng, rng.randint(1, 2))
+        c = rand_rational_poly(rng, rng.randint(1, 2))
+        p = a * b**2 * c**rng.randint(1, 3)
+        got_c, got = squarefree_decomposition(p)
+        want_c, want = reference_squarefree_decomposition(ref(p))
+        assert got_c == want_c and type(got_c) is Fraction
+        assert [m for _, m in got] == [m for _, m in want]
+        for (g, _), (rg, _) in zip(got, want):
+            assert_same(g, rg)

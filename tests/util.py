@@ -19,6 +19,10 @@ keeps the extended Euclid over Q that one solve with that matrix replaced,
 and the reference component square root keeps the resultant-interpolated
 norm N_0 and the Euclidean gcd over the field that the characteristic-
 polynomial norm and the reduction modulo (z - s beta)^2 - a replaced.
+The reference polynomial keeps the tuple of Fractions, with Euclidean
+division over Q, that the integer numerators over one denominator in
+`polys` replaced, and the reference invariant form keeps the Fraction
+matrices sA - B that the integer matrices replaced.
 """
 
 from fractions import Fraction
@@ -319,3 +323,133 @@ def reference_component_sqrt(Li, a):
         if len(G) == 2:
             return -G[0] - s * beta
     return None
+
+
+class ReferencePoly:
+    """Polynomial as a tuple of Fractions, low degree first, no trailing zeros."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return ReferencePoly([self[i] + other[i] for i in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return ReferencePoly([self[i] - other[i] for i in range(n)])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ReferencePoly([c * other for c in self.coeffs])
+        if self.is_zero or other.is_zero:
+            return ReferencePoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return ReferencePoly(out)
+
+    def divmod(self, other):
+        q = [Fraction(0)] * max(self.degree - other.degree + 1, 0)
+        r = list(self.coeffs)
+        d = other.degree
+        inv_lc = 1 / other.lc
+        for k in range(len(r) - 1 - d, -1, -1):
+            c = r[k + d] * inv_lc
+            q[k] = c
+            for i, b in enumerate(other.coeffs):
+                r[k + i] -= c * b
+        return ReferencePoly(q), ReferencePoly(r[:d] if d > 0 else [])
+
+    def __floordiv__(self, other):
+        return self.divmod(other)[0]
+
+    def __mod__(self, other):
+        return self.divmod(other)[1]
+
+    def derivative(self):
+        return ReferencePoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def monic(self):
+        return self if self.is_zero else self * (1 / self.lc)
+
+    def primitive_int(self):
+        if self.is_zero:
+            return self, Fraction(1)
+        den = lcm(*[c.denominator for c in self.coeffs])
+        ints = [int(c * den) for c in self.coeffs]
+        g = 0
+        for c in ints:
+            g = gcd(g, c)
+        return ReferencePoly([c // g for c in ints]), Fraction(g, den)
+
+
+def reference_poly_gcd(p, q):
+    """Monic gcd by Euclid over Q on ReferencePoly."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, (a % b)
+        if not b.is_zero:
+            b = b.monic()
+    return a if a.is_zero else a.monic()
+
+
+def reference_squarefree_decomposition(p):
+    """Yun's decomposition (c, [(g_i, i)]) on ReferencePoly."""
+    c = p.lc
+    f = p.monic()
+    if f.degree == 0:
+        return c, []
+    out = []
+    g = reference_poly_gcd(f, f.derivative())
+    c1 = f // g
+    d = f.derivative() // g - c1.derivative()
+    i = 1
+    while c1.degree > 0:
+        step = reference_poly_gcd(c1, d)
+        c1_next = c1 // step
+        d = d // step - c1_next.derivative()
+        if step.degree > 0:
+            out.append((step, i))
+        c1 = c1_next
+        i += 1
+    return c, out
+
+
+def reference_invariant_form(pair):
+    """Coefficients f0..fn of (-1)^(n(n-1)/2) det(xA - yB), from n + 1
+    determinants of the Fraction matrices sA - B."""
+    n = pair.n
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    xs = [Fraction(k) for k in range(n + 1)]
+    ys = [frac_det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(pair.A, pair.B)])
+          for s in xs]
+    q = lagrange_interpolate(xs, ys)
+    return tuple(sign * q[n - i] for i in range(n + 1))
