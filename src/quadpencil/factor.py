@@ -2,9 +2,10 @@
 
 Pipeline: Yun squarefree decomposition, then for each squarefree part taken
 primitive over Z: reduce mod a good odd prime (several tried, fewest modular
-factors wins), distinct-degree plus equal-degree splitting, quadratic Hensel
-lifting past the Landau-Mignotte bound, and subset recombination. Degrees at
-desk scale (<= 12) keep the subset stage cheap.
+factors wins, counted from the distinct-degree split), equal-degree splitting
+at the chosen prime only, quadratic Hensel lifting past the Landau-Mignotte
+bound, and subset recombination. Degrees at desk scale (<= 12) keep the subset
+stage cheap.
 """
 
 from itertools import combinations
@@ -164,11 +165,12 @@ def _gf_edf(f, d, p, rng):
 
 def gf_factor_squarefree(f, p, rng=None):
     """Monic irreducible factors of a monic squarefree f mod odd p."""
-    if rng is None:
-        rng = random.Random(0x5EED)
-    out = []
-    for part, d in _gf_ddf(f, p):
-        out.extend(_gf_edf(part, d, p, rng))
+    return _gf_split(_gf_ddf(f, p), p, rng or random.Random(0x5EED))
+
+
+def _gf_split(ddf, p, rng):
+    """The irreducible factors of a distinct-degree split, sorted."""
+    out = [h for part, d in ddf for h in _gf_edf(part, d, p, rng)]
     out.sort(key=lambda h: (len(h), h[::-1]))
     return out
 
@@ -255,13 +257,14 @@ def _zassenhaus(F, rng):
         fp = gf_monic(gf_from_int(F, p), p)
         if not gf_is_squarefree(fp, p):
             continue
-        candidates.append((p, gf_factor_squarefree(fp, p, rng)))
-        if len(candidates[-1][1]) == 1:
+        # the number of modular factors, from the distinct-degree split alone
+        ddf = _gf_ddf(fp, p)
+        candidates.append((sum((len(part) - 1) // d for part, d in ddf), p, ddf))
+        if candidates[-1][0] == 1:
             return [F if lc > 0 else [-c for c in F]]
     assert candidates, "no good prime found"
-    p, modular = min(candidates, key=lambda t: (len(t[1]), t[0]))
-    if len(modular) == 1:
-        return [F if lc > 0 else [-c for c in F]]
+    _, p, ddf = min(candidates, key=lambda t: t[:2])
+    modular = _gf_split(ddf, p, rng)
 
     l = 1
     while p**l < 2 * bound + 1:

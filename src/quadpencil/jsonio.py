@@ -9,8 +9,10 @@ basis, and the real place is spelled "oo".
 from fractions import Fraction
 
 from .binforms import BinaryForm
+from .errors import DomainError
 from .etale import EtaleAlgebra
 from .intutil import is_prime
+from .linalg import det
 from .orders import OrientedIdeal, Order
 from .pencil import OrbitParam, SymPair
 from .polys import Poly
@@ -167,6 +169,8 @@ def json_to_ideal(order: Order, obj) -> OrientedIdeal:
         raise PayloadError("mat must be an integer matrix")
     if len(rows) != order.n or any(len(r) != order.n for r in rows):
         raise PayloadError("mat must be %d x %d" % (order.n, order.n))
+    if det(rows) == 0:
+        raise DomainError("ideal basis is not full rank")
     return OrientedIdeal(order, den, [list(r) for r in rows], eps)
 
 

@@ -5,25 +5,31 @@ L = Q[x]/(g), g = f(x,1)/f0, the ring R_f has Z-basis
 1, zeta_1, ..., zeta_(n-1) with zeta_k = f0 theta^k + f1 theta^(k-1) + ...
 + f_(k-1) theta. The modules I_f(k) with basis 1, theta, ..., theta^k,
 zeta_(k+1), ..., zeta_(n-1) are R_f-stable, I_f(k) = I_f(1)^k, and the signed
-norm of I_f(k) is 1/f0^k. Ideals are stored with a global denominator and an
-integer HNF basis in R_f coordinates, plus an orientation sign. Products of
-ideals and scalars multiply those integer rows through the integer
-multiplication table of R_f, then take the HNF.
+norm of I_f(k) is 1/f0^k. The integer multiplication table of R_f has a
+closed form (Nakagawa, Invent. Math. 97, 1989; Wood, J. London Math. Soc. 83,
+2011): with zeta_0 = 1 and zeta_n = -f_n, for 1 <= i <= j <= n-1,
+    zeta_i zeta_j = sum_(k=j+1)^(min(i+j,n)) f_(i+j-k) zeta_k
+                    - sum_(k=max(i+j-n,1))^(i) f_(i+j-k) zeta_k.
+The basis rows are triangular with diagonal f0, so coordinates come by
+back-substitution. Ideals are stored with a global denominator and an integer
+HNF basis in R_f coordinates, plus an orientation sign. Products of ideals and
+scalars multiply those integer rows through the table, then take the HNF.
 """
 
 from fractions import Fraction
 from math import gcd as int_gcd
 from math import lcm as int_lcm
+from operator import mul
 
 from .binforms import BinaryForm
 from .errors import DomainError
 from .etale import EtaleAlgebra
-from .linalg import det, hnf, inverse, solve, transpose, vec_mat
+from .linalg import det, hnf, solve, transpose, vec_mat
 from .pencil import SymPair, invariant_binary_form
 
 
 class Order:
-    """R_f with its distinguished basis and integral multiplication table."""
+    """R_f: basis zeta_k (integer rows Z in the power basis) and table, read off f."""
 
     def __init__(self, f: BinaryForm):
         if not f.is_integral:
@@ -35,25 +41,21 @@ class Order:
         self.f = f
         self.algebra = EtaleAlgebra(f.monic_part())
         n = f.n
-        theta = self.algebra.beta
-        basis = [self.algebra.one]
-        for k in range(1, n):
-            zk = self.algebra.zero
-            for i in range(k):
-                zk = zk + f.coeffs[i] * theta ** (k - i)
-            basis.append(zk)
-        self.basis = basis
-        self.Z = [list(b.coords) for b in basis]  # rows: power coordinates
-        self.Zinv = inverse(self.Z)
-        # multiplication table in the zeta basis; integrality is a theorem
-        self.table = []
+        a = [int(c) for c in f.coeffs]
+        self.Z = [[a[k - m] if 0 < m <= k else int(k == m) for m in range(n)] for k in range(n)]
+        self.basis = [self.algebra.element(row) for row in self.Z]
+        T = [[None] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                cs = self.to_basis(basis[i] * basis[j])
-                assert all(c.denominator == 1 for c in cs)
-                row.append(tuple(int(c) for c in cs))
-            self.table.append(row)
+            for j in range(i, n):
+                c = [0] * (n + 1)
+                c[j] = int(i == 0)  # zeta_0 zeta_j = zeta_j
+                for k in range(j + 1, min(i + j, n) + 1):
+                    c[k] = a[i + j - k]
+                for k in range(max(i + j - n, 1), i + 1):
+                    c[k] = -a[i + j - k]
+                c[0] -= a[n] * c[n]  # zeta_n = -f_n
+                T[i][j] = T[j][i] = tuple(c[:n])
+        self.table = T
 
     @property
     def n(self):
@@ -63,13 +65,21 @@ class Order:
         """Coordinates of an algebra element in the zeta basis."""
         if elem.A != self.algebra:
             raise DomainError("elements of different algebras")
-        return vec_mat(list(elem.coords), self.Zinv)
+        return self.natural_coords(elem.coords, 0)
+
+    def natural_coords(self, x, k):
+        """Coordinates of the power-basis vector x in the basis 1, theta, ...,
+        theta^k, zeta_(k+1), ..., zeta_(n-1) of I_f(k), by back-substitution:
+        zeta_m (m >= 1) has top coefficient f0 at theta^m and no constant term."""
+        c = [Fraction(v) for v in x]
+        for m in range(len(c) - 1, k, -1):
+            c[m] /= self.f.f0
+            for j in range(1, m):
+                c[j] -= c[m] * self.Z[m][j]
+        return c
 
     def from_basis(self, coords):
-        out = self.algebra.zero
-        for c, b in zip(coords, self.basis):
-            out = out + Fraction(c) * b
-        return out
+        return self.algebra.element(vec_mat(coords, self.Z))
 
     def __eq__(self, other):
         if isinstance(other, Order):
@@ -82,10 +92,11 @@ def form_order(f: BinaryForm) -> Order:
 
 
 def order_disc(order: Order) -> Fraction:
-    """det of the trace form on the basis of R_f; equals disc(f)."""
-    n = order.n
-    M = [[(order.basis[i] * order.basis[j]).trace() for j in range(n)] for i in range(n)]
-    return det(M)
+    """det of the trace form on the basis of R_f; equals disc(f). Tr(zeta_i zeta_j)
+    is T[i][j] dotted with the Tr(zeta_k), each Z[k] dotted with the power sums."""
+    p = order.algebra.power_sums
+    tr = [sum(map(mul, row, p)) for row in order.Z]
+    return det([[sum(map(mul, t, tr)) for t in row] for row in order.table])
 
 
 class OrientedIdeal:
@@ -96,10 +107,7 @@ class OrientedIdeal:
     def __init__(self, order, den, mat, eps):
         if eps not in (1, -1) or den <= 0:
             raise DomainError("ideal needs eps = +1 or -1 and a positive denominator")
-        g = den
-        for row in mat:
-            for x in row:
-                g = int_gcd(g, x)
+        g = int_gcd(den, *(x for row in mat for x in row))
         self.order = order
         self.den = den // g
         self.mat = [[x // g for x in row] for row in mat]
@@ -170,12 +178,6 @@ def _cleared(rows):
     return den, [[int(c * den) for c in row] for row in rows]
 
 
-def _ideal_from_elements(order, elems):
-    """The ideal with basis elems, oriented by the sign of their determinant."""
-    rows = [order.to_basis(e) for e in elems]
-    return _ideal_from_rows(order, *_cleared(rows), 1 if det(rows) > 0 else -1)
-
-
 def unit_ideal(order: Order) -> OrientedIdeal:
     n = order.n
     return OrientedIdeal(order, 1, [[int(i == j) for j in range(n)] for i in range(n)], 1)
@@ -183,9 +185,13 @@ def unit_ideal(order: Order) -> OrientedIdeal:
 
 def power_ideal(order: Order, k: int) -> OrientedIdeal:
     """I_f(k), 0 <= k <= n-1; signed norm 1/f0^k."""
-    if not 0 <= k <= order.n - 1:
+    n = order.n
+    if not 0 <= k <= n - 1:
         raise DomainError("k out of range")
-    ideal = _ideal_from_elements(order, _natural_basis(order, k))
+    # the natural basis in zeta coordinates: theta^j for j <= k, then zeta_j
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [order.natural_coords(e, 0) for e in unit[:k + 1]] + unit[k + 1:]
+    ideal = _ideal_from_rows(order, *_cleared(rows), 1 if det(rows) > 0 else -1)
     assert ideal.norm() == Fraction(1) / order.f.f0**k
     return ideal
 
@@ -221,12 +227,6 @@ def module_stable(I: OrientedIdeal) -> bool:
     return ideal_mul(unit_ideal(I.order), I).mat == hnf(I.mat)
 
 
-def _natural_basis(order, k):
-    """1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1): the basis of I_f(k)."""
-    L = order.algebra
-    return [L.beta_pow(j) for j in range(k + 1)] + list(order.basis[k + 1:])
-
-
 def ideal_pair_valid(order: Order, I: OrientedIdeal, alpha):
     """(ok, message): I^2 inside alpha*I_f(n-3) and N(I)^2 = N(alpha)/f0^(n-3)."""
     n = order.n
@@ -256,14 +256,13 @@ def ideal_pair_to_matrices(order: Order, I: OrientedIdeal, alpha) -> SymPair:
     if not ok:
         raise DomainError(msg)
     n = order.n
-    Winv = inverse([e.coords for e in _natural_basis(order, n - 3)])
     bs = I.oriented_basis()
     ainv = alpha.inverse()
     A = [[None] * n for _ in range(n)]
     B = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            coords = vec_mat(list((bs[i] * bs[j] * ainv).coords), Winv)
+            coords = order.natural_coords((bs[i] * bs[j] * ainv).coords, n - 3)
             assert all(c.denominator == 1 for c in coords)
             A[i][j] = A[j][i] = coords[n - 1]
             B[i][j] = B[j][i] = coords[n - 2]
@@ -300,6 +299,8 @@ def inverse_different_check(order: Order):
 
     Also verifies on the full basis that Tr(lambda mu / f'(theta)) equals the
     zeta_(n-1) coefficient of lambda mu in the natural basis of I_f(n-2).
+    For zeta_i zeta_j both sides are T[i][j] dotted with their values at the
+    zeta_k: Tr(zeta_k / f'(theta)), and Z[k][n-1] / f0.
     """
     n = order.n
     if n < 2:
@@ -309,12 +310,10 @@ def inverse_different_check(order: Order):
     fpinv = fprime.inverse()
     Ddual = scalar_ideal(fpinv, power_ideal(order, n - 2))
     contained = all(Ddual.contains(b) for b in order.basis)
-    Winv = inverse([e.coords for e in _natural_basis(order, n - 2)])
-    for lam in order.basis:
-        for mu in order.basis:
-            prod = lam * mu
-            coeff = vec_mat(list(prod.coords), Winv)[n - 1]
-            assert (prod * fpinv).trace() == coeff
+    traces = [(b * fpinv).trace() for b in order.basis]
+    tops = [Fraction(row[n - 1], order.f.f0) for row in order.Z]
+    assert all(sum(map(mul, t, traces)) == sum(map(mul, t, tops))
+               for row in order.table for t in row)
     index = Fraction(1) / abs(Ddual.norm())
     assert index.denominator == 1
     return contained, int(index)

@@ -173,6 +173,13 @@ def test_exit_code_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_singular_ideal_is_a_domain_error(capsys):
+    payload = '{"ideal": {"den": 1, "mat": [[0,0,0],[0,0,0],[0,0,0]], "eps": 1}, "alpha": ["1"]}'
+    rc, out, err = run(capsys, "integral", "wood", "--f", "1,0,0,-2", "--json", payload)
+    assert rc == 2 and out == ""
+    assert err == "domain error: ideal basis is not full rank\n"
+
+
 def test_exit_code_hilbert_zero(capsys):
     rc, out, err = run(capsys, "quad", "hilbert", "--a", "0", "--b", "3", "--place", "5")
     assert rc == 2

@@ -27,10 +27,15 @@ from quadpencil.orders import (
 )
 
 from util import (
+    ReferenceOrder,
     frac_det,
     random_integral_form,
     reference_ideal_mul,
+    reference_inverse_different_check,
     reference_module_stable,
+    reference_order_disc,
+    reference_pair_matrices,
+    reference_power_ideal,
     reference_scalar_ideal,
     unimodular,
 )
@@ -346,3 +351,81 @@ def test_foreign_elements_are_rejected():
         scalar_ideal(other, I)
     with pytest.raises(DomainError, match="different algebras"):
         O.to_basis(other)
+
+
+def _closed_form_forms():
+    """Forms for the closed-form table: n = 2..8, coefficients up to +-50,
+    one of each kind per degree: any f0, negative f0, and f_n = 0."""
+    rng = random.Random(75)
+    out = []
+    for n in range(2, 9):
+        for kind in ("any", "negative f0", "f_n = 0"):
+            while True:
+                cs = [rng.randint(-50, 50) for _ in range(n + 1)]
+                if kind == "negative f0":
+                    cs[0] = -abs(cs[0])
+                if kind == "f_n = 0":
+                    cs[n] = 0
+                if cs[0] and BinaryForm(cs).disc() != 0:
+                    break
+            out.append(BinaryForm(cs))
+    return out
+
+
+CLOSED_FORM = [(f, ReferenceOrder(f)) for f in _closed_form_forms()]
+
+
+def test_closed_form_table_matches_element_products():
+    for f, R in CLOSED_FORM:
+        O = form_order(f)
+        assert O.table == R.table
+        assert O.basis == R.basis
+        assert order_disc(O) == reference_order_disc(R) == f.disc()
+
+
+def test_to_basis_matches_inverse_basis_matrix():
+    rng = random.Random(76)
+    for f, R in CLOSED_FORM:
+        O = form_order(f)
+        n = O.n
+        for _ in range(4):
+            x = O.algebra.element(
+                [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)])
+            coords = O.to_basis(x)
+            assert coords == R.to_basis(x)
+            assert O.from_basis(coords) == x
+
+
+def test_power_ideals_match_element_route():
+    for f, R in CLOSED_FORM:
+        O = form_order(f)
+        for k in range(O.n):
+            assert _key(power_ideal(O, k)) == _key(reference_power_ideal(O, R, k))
+
+
+def test_inverse_different_matches_element_route():
+    for f, R in CLOSED_FORM:
+        contained, index, identity = reference_inverse_different_check(R)
+        assert identity
+        assert inverse_different_check(form_order(f)) == (contained, index) == (True, abs(f.disc()))
+
+
+def test_module_pair_matches_element_products():
+    # (kappa I, kappa^2) for the canonical I, with N(kappa) of both signs
+    rng = random.Random(78)
+    signs = set()
+    for f, R in CLOSED_FORM:
+        n = f.n
+        if n % 2 == 0:
+            continue
+        O = form_order(f)
+        I0 = ideal_pow(power_ideal(O, 1), (n - 3) // 2)
+        kappa = O.algebra.zero
+        while kappa.norm() == 0:
+            kappa = O.algebra.element([rng.randint(-3, 3) for _ in range(n)])
+        for c in (O.algebra.one, kappa, -kappa):
+            I = scalar_ideal(c, I0)
+            pair = ideal_pair_to_matrices(O, I, c * c)
+            assert (pair.A, pair.B) == reference_pair_matrices(R, I, c * c)
+            signs.add(I.eps)
+    assert signs == {1, -1}

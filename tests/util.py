@@ -8,7 +8,11 @@ are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
 The reference ideal products keep the algebra-element route (products of
 basis elements mapped back by `to_basis`) that the integer-table products in
-`orders` replaced. The reference witness searches keep the whole-cube scans
+`orders` replaced, and the reference order keeps the construction of R_f
+from powers of theta, with its table, coordinates, discriminant and
+inverse-different check by algebra products and the Fraction inverse of the
+basis matrix, that the closed-form integer table and back-substitution
+replaced. The reference witness searches keep the whole-cube scans
 that the certificate-first, shell-only searches replaced: they decide
 nothing in advance, so a None from them is an independent brute-force check.
 The reference solve, inverse and nullspace keep the Fraction Gauss-Jordan
@@ -115,7 +119,10 @@ def random_invertible(rng, n, lo=-3, hi=3):
 def _reference_ideal(order, elems, eps):
     """The ideal with generators elems: zeta coordinates by to_basis, cleared
     of denominators over their lcm, then put in HNF."""
-    rows = [order.to_basis(e) for e in elems]
+    return _reference_ideal_rows(order, [order.to_basis(e) for e in elems], eps)
+
+
+def _reference_ideal_rows(order, rows, eps):
     den = lcm(*(c.denominator for row in rows for c in row))
     H = hnf([[int(c * den) for c in row] for row in rows])
     assert len(H) == order.n
@@ -140,6 +147,97 @@ def reference_scalar_ideal(c, I):
 def reference_module_stable(I):
     """R_f * I = I, by membership of every product zeta_i * b in I."""
     return all(I.contains(z * b) for z in I.order.basis for b in I.basis_elements())
+
+
+class ReferenceOrder:
+    """R_f from algebra elements: zeta_k as a sum of powers of theta, and each
+    table entry a product of two basis elements mapped back through the
+    Fraction inverse Zinv of the basis matrix."""
+
+    def __init__(self, f):
+        self.f = f
+        self.algebra = L = EtaleAlgebra(f.monic_part())
+        n = f.n
+        basis = [L.one]
+        for k in range(1, n):
+            zk = L.zero
+            for i in range(k):
+                zk = zk + f.coeffs[i] * L.beta ** (k - i)
+            basis.append(zk)
+        self.basis = basis
+        self.Zinv = reference_inverse([list(b.coords) for b in basis])
+        self.table = []
+        for bi in basis:
+            row = []
+            for bj in basis:
+                cs = self.to_basis(bi * bj)
+                assert all(c.denominator == 1 for c in cs)
+                row.append(tuple(int(c) for c in cs))
+            self.table.append(row)
+
+    def to_basis(self, elem):
+        n = len(self.Zinv)
+        return [sum((x * row[j] for x, row in zip(elem.coords, self.Zinv)), Fraction(0))
+                for j in range(n)]
+
+    def natural_basis(self, k):
+        """1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1): the basis of I_f(k)."""
+        return [self.algebra.beta ** j for j in range(k + 1)] + self.basis[k + 1:]
+
+
+def reference_order_disc(R):
+    """det of the trace form Tr(zeta_i zeta_j) from the n^2 products."""
+    return frac_det([[(bi * bj).trace() for bj in R.basis] for bi in R.basis])
+
+
+def reference_power_ideal(order, R, k):
+    """I_f(k) from its natural basis of algebra elements, oriented by the
+    sign of their determinant in the zeta basis."""
+    rows = [R.to_basis(e) for e in R.natural_basis(k)]
+    return _reference_ideal_rows(order, rows, 1 if frac_det(rows) > 0 else -1)
+
+
+def reference_pair_matrices(R, I, alpha):
+    """(A, B) of ideal_pair_to_matrices by algebra products: the basis of I
+    from the zeta_k, b_0 negated if eps = -1, and each b_i b_j / alpha in the
+    natural basis of I_f(n-3) through the Fraction inverse of its matrix."""
+    n = R.f.n
+    bs = [sum((Fraction(x, I.den) * z for x, z in zip(row, R.basis)), R.algebra.zero)
+          for row in I.mat]
+    if I.eps < 0:
+        bs[0] = -bs[0]
+    ainv = reference_alg_inverse(alpha)
+    Winv = reference_inverse([list(e.coords) for e in R.natural_basis(n - 3)])
+    C = [[[sum(c * row[k] for c, row in zip((bi * bj * ainv).coords, Winv)) for k in range(n)]
+          for bj in bs] for bi in bs]
+    return [[c[n - 1] for c in row] for row in C], [[c[n - 2] for c in row] for row in C]
+
+
+def reference_inverse_different_check(R):
+    """(contained, index, identity) for R_f inside D = (1/f'(theta)) I_f(n-2).
+
+    D has the basis e / f'(theta) for e in the natural basis of I_f(n-2); each
+    zeta_k is tested by a Fraction solve, and identity says whether
+    Tr(lambda mu / f'(theta)) equals the zeta_(n-1) coefficient of lambda mu
+    in that natural basis for all n^2 products of basis elements.
+    """
+    n = R.f.n
+    L = R.algebra
+    fpinv = reference_alg_inverse(L.from_poly(R.f.dehomogenized().derivative()))
+    nat = R.natural_basis(n - 2)
+    rows = [R.to_basis(fpinv * e) for e in nat]
+    cols = [list(col) for col in zip(*rows)]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    contained = all(all(c.denominator == 1 for c in reference_solve(cols, e)) for e in unit)
+    Winv = reference_inverse([list(e.coords) for e in nat])
+    identity = True
+    for lam in R.basis:
+        for mu in R.basis:
+            prod = lam * mu
+            coeff = sum(x * row[n - 1] for x, row in zip(prod.coords, Winv))
+            identity = identity and (prod * fpinv).trace() == coeff
+    index = 1 / abs(frac_det(rows))
+    return contained, index, identity
 
 
 def reference_isotropy_witness(q, bound):
