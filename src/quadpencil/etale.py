@@ -5,20 +5,36 @@ where beta is the class of x. The trace form identity
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
 the pencil module. Traces are dot products with the power sums
 p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
-one integer solve with the multiplication matrix M_a. Square roots use the
-norm method on each field component.
+one integer solve with the multiplication matrix M_a.
+
+Square roots are decided on each field component K = Q[x]/(g_i) of degree d.
+Euler's criterion at a few odd primes p where a is a unit and g_i stays
+squarefree certifies a non-square. At an inert p (g_i irreducible mod p) a
+square root in F_(p^d) is lifted p-adically by Newton's iteration, rationally
+reconstructed, and returned only when its square is a exactly. Trager's norm
+method decides when no inert prime turns up or no lift verifies.
 """
 
 from fractions import Fraction
+from itertools import islice
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import DomainError
-from .factor import factor_poly
-from .intutil import is_square_rational, rational_sqrt
+from .factor import _gf_ddf, factor_poly, gf_divmod, gf_from_int, gf_gcd, gf_gcdex
+from .factor import gf_is_squarefree, gf_mul, gf_pow_mod, gf_sub
+from .intutil import is_square_rational, next_prime, rational_sqrt
 from .linalg import charpoly as mat_charpoly
 from .linalg import det as mat_det  # noqa: F401  (perfbench's tests trace this alias)
 from .linalg import solve as mat_solve
-from .polys import Poly, X, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
+from .polys import Poly, X, _make, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
+
+# square roots in a component field (_component_sqrt)
+_SYMBOL_PRIMES = 2  # good primes whose residue symbols are taken before a lift
+_MORE_SYMBOL_PRIMES = 10  # further good primes whose symbols come before the norm route
+_INERT_PRIMES = 40  # good primes walked for an inert one
+_LIFT_CAP_BITS = 2048  # the lift stops once p^k has this many bits
+_SHIFTS = [0] + [s for k in range(1, 10) for s in (k, -k)]  # the norm route's shifts, in order
 
 
 class EtaleAlgebra:
@@ -34,10 +50,16 @@ class EtaleAlgebra:
         self._factors = None
         self._components = None
         self._idempotents = None
-        # powers of beta mod g up to beta^(2n-2), for beta_pow and euler_trace_solve
+        # powers of beta mod g up to beta^(2n-2), for beta_pow and euler_trace_solve:
+        # each is the last one shifted up, less its top coefficient times the monic g
+        n, G, E = self.n, g.num, g.den
         pows = [Poly([1])]
-        for _ in range(2 * self.n - 2):
-            pows.append((pows[-1] * X) % g)
+        for _ in range(2 * n - 2):
+            num, den = [0, *pows[-1].num], pows[-1].den
+            if len(num) > n:
+                top = num[n]
+                num, den = [E * c - top * gc for c, gc in zip(num, G)], den * E
+            pows.append(_make(num, den))
         self._beta_pows = pows
         self._power_sums = None
 
@@ -291,8 +313,158 @@ def _canonical_sign(c):
     return c
 
 
+def _reduce(P: Poly, m):
+    """P mod m as a gf list, for a Poly whose denominator is prime to m."""
+    inv = pow(P.den, -1, m)
+    return gf_from_int([c * inv for c in P.num], m)
+
+
+def _good_primes(g: Poly, A: Poly):
+    """(p, g mod p, A mod p, distinct-degree split of g mod p) for the odd p
+    dividing no denominator with g squarefree and gcd(A, g) = 1 mod p: then
+    A, of degree < deg g, is a unit at every prime of Q[x]/(g) above p."""
+    D, p = g.den * A.den, 2
+    while True:
+        p = next_prime(p)
+        if D % p:
+            gp, ap = _reduce(g, p), _reduce(A, p)
+            if gf_is_squarefree(gp, p) and len(gf_gcd(ap, gp, p)) == 1:
+                yield p, gp, ap, _gf_ddf(gp, p)
+
+
+def _is_nonresidue(p, ap, ddf):
+    """Euler's criterion: is a^((p^k - 1)/2) != 1 modulo some degree-k part?"""
+    return any(gf_pow_mod(ap, (p**k - 1) // 2, part, p) != [1] for part, k in ddf)
+
+
+def _nonsquare_shift(g, p):
+    """A k with x + k a non-square in the field F_p[x]/(g), or None: one whose
+    norm (-1)^d g(-k) is a non-square mod p."""
+    sign = (-1) ** (len(g) - 1)
+    norms = ((k, sign * sum(c * (-k) ** i for i, c in enumerate(g))) for k in range(p))
+    return next((k for k, v in norms if pow(v, (p - 1) // 2, p) == p - 1), None)
+
+
+def _gf_sqrt(a, g, p, k):
+    """A square root of a != 0 in the field F_p[x]/(g), or None if a is not a
+    square: Tonelli-Shanks with the non-square x + k (the power a^((q+1)/4)
+    when q = 3 mod 4)."""
+    mulmod = lambda f, h: gf_divmod(gf_mul(f, h, p), g, p)[1]
+    q = p ** (len(g) - 1)
+    e, m = 0, q - 1
+    while m % 2 == 0:
+        e, m = e + 1, m // 2
+    w = gf_pow_mod(a, (m - 1) // 2, g, p)
+    x, t = mulmod(w, a), mulmod(mulmod(w, w), a)  # x^2 = a t, t of order 2^i, i < e
+    c = None
+    while t != [1]:
+        i, t2 = 0, t
+        while t2 != [1]:
+            t2, i = mulmod(t2, t2), i + 1
+            if i == e:
+                return None
+        c = c or gf_pow_mod([k, 1], m, g, p)  # of order 2^e
+        b = gf_pow_mod(c, 2 ** (e - i - 1), g, p)
+        x, c = mulmod(x, b), mulmod(b, b)
+        t, e = mulmod(t, c), i
+    return x
+
+
+def _rational_reconstruction(c, m):
+    """The u / v = c mod m with |u|, v <= sqrt(m / 2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lift_sqrt(Li: EtaleAlgebra, a, p, y):
+    """r with r * r == a, from y = a^(-1/2) mod p, or None past _LIFT_CAP_BITS.
+
+    Each Newton step y <- y (3 - a y^2) / 2 doubles the precision of y; then
+    the coordinates of r = a y are rationally reconstructed and checked.
+    """
+    g, A, m = Li.g, a.poly(), p
+    while m.bit_length() < _LIFT_CAP_BITS:
+        m *= m
+        G = _reduce(g, m)
+        mulmod = lambda f, h: gf_divmod(gf_mul(f, h, m), G, m)[1]
+        am = _reduce(A, m)
+        y = [c * (m + 1) // 2 % m for c in mulmod(y, gf_sub([3], mulmod(am, mulmod(y, y)), m))]
+        r = mulmod(am, y)
+        cs = [_rational_reconstruction(c, m) for c in r + [0] * (Li.n - len(r))]
+        if None not in cs:
+            root = Li.element(cs)
+            if root * root == a:
+                return root
+    return None
+
+
+def _norm_route_root(Li: EtaleAlgebra, r, p):
+    """r or -r, whichever _trager_sqrt returns for a = r^2, p a good prime.
+
+    There N_s = chi_u chi_v for u = s beta + r and v = s beta - r (at s = 0,
+    chi_v(z) = (-1)^d chi_u(-z)), and at the first s where N_s is squarefree
+    the first factor, the smaller coefficient tuple, gives r if it is chi_u.
+    """
+    for s in _SHIFTS:
+        fu = (s * Li.beta + r).charpoly()
+        if s:
+            fv = (s * Li.beta - r).charpoly()
+        else:
+            fv = Poly([-c if (Li.n - k) % 2 else c for k, c in enumerate(fu.coeffs)])
+        N = fu * fv
+        if gf_is_squarefree(_reduce(N, p), p) or is_squarefree(N):
+            return r if fu.coeffs < fv.coeffs else -r
+    raise AssertionError("no squarefree norm shift found")
+
+
 def _component_sqrt(Li: EtaleAlgebra, a):
     """A root of z^2 = a in the field Li, or None.
+
+    Degree 1 is a rational square root. For d >= 2, a is a unit at every
+    prime above a good prime p, so a failed Euler criterion modulo a part of
+    g mod p (a residue field) certifies a non-square: it is tested at the
+    first _SYMBOL_PRIMES good primes and at the first inert p (g irreducible
+    mod p), where Tonelli-Shanks also gives a^(-1/2) in F_(p^d) to lift. A
+    lifted r is returned only if r * r == a; a field has only the roots +-r,
+    and _norm_route_root picks the one Trager's norm route gives. With no
+    inert prime among the first _INERT_PRIMES good primes (no d-cycle in the
+    Galois group, as for x^4 - 10x^2 + 1) or no verified lift, symbols at
+    _MORE_SYMBOL_PRIMES further good primes come first, then _trager_sqrt.
+    """
+    d = Li.n
+    if d == 1:
+        val = a.coords[0]
+        if is_square_rational(val):
+            return Li.element([rational_sqrt(val)])
+        return None
+    primes, y = _good_primes(Li.g, a.poly()), None
+    for tried, (p, gp, ap, ddf) in enumerate(primes, 1):
+        if y is None and ddf[0][1] == d and (k := _nonsquare_shift(gp, p)) is not None:
+            x = _gf_sqrt(ap, gp, p, k)  # None: Euler's criterion fails at p
+            if x is None:
+                return None
+            y, inert = gf_gcdex(x, gp, p)[0], p
+        elif tried <= _SYMBOL_PRIMES and _is_nonresidue(p, ap, ddf):
+            return None
+        if y is not None and tried >= _SYMBOL_PRIMES or tried == _INERT_PRIMES:
+            break
+    r = None if y is None else _lift_sqrt(Li, a, inert, y)
+    if r is not None:
+        return _norm_route_root(Li, r, inert)
+    for p, gp, ap, ddf in islice(primes, _MORE_SYMBOL_PRIMES):
+        if _is_nonresidue(p, ap, ddf):
+            return None
+    return _trager_sqrt(Li, a)
+
+
+def _trager_sqrt(Li: EtaleAlgebra, a):
+    """A root of z^2 = a in the field Li of degree d >= 2, or None.
 
     Norm method (Trager, SYMSAC 1976): take a shift s making
     N_s(z) = Res_x(g_i(x), (z - s x)^2 - a(x)) squarefree. N_0(z) = chi_a(z^2)
@@ -305,17 +477,9 @@ def _component_sqrt(Li: EtaleAlgebra, a):
     -v / u - s beta is a square root of a.
     """
     d = Li.n
-    if d == 1:
-        val = a.coords[0]
-        if is_square_rational(val):
-            return Li.element([rational_sqrt(val)])
-        return None
     gpol = Li.g
     apol = a.poly()
-    shifts = [0]
-    for k in range(1, 10):
-        shifts += [k, -k]
-    for s in shifts:
+    for s in _SHIFTS:
         if s == 0:
             coeffs = [Fraction(0)] * (2 * d + 1)
             coeffs[::2] = a.charpoly().coeffs
@@ -349,13 +513,14 @@ def _component_sqrt(Li: EtaleAlgebra, a):
 
 
 def sqrt_in_algebra(A: EtaleAlgebra, a):
-    """A square root of the unit a in A, or None if a is not a square.
+    """A square root of the unit a (an element, coordinates or a rational) in
+    A, or None if a is not a square.
 
     Decided independently on every irreducible component; the returned root is
     canonicalized so each component image, then the whole element, has positive
     first nonzero coordinate.
     """
-    a = A.one._coerce(a) if isinstance(a, AlgElement) else A.element(a)
+    a = A.one._coerce(a) if isinstance(a, (AlgElement, int, Fraction)) else A.element(a)
     if not a.is_unit:
         raise DomainError("sqrt_in_algebra needs an invertible element")
     comp_roots = []

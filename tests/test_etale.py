@@ -1,11 +1,13 @@
 """Quotient-algebra arithmetic: idempotents, norm/trace, square roots."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from quadpencil import EtaleAlgebra, Poly
+from quadpencil import EtaleAlgebra, Poly, etale
 from quadpencil.errors import DomainError
 from quadpencil.etale import (
     _canonical_sign,
@@ -14,7 +16,7 @@ from quadpencil.etale import (
     euler_trace_solve,
     sqrt_in_algebra,
 )
-from quadpencil.polys import is_squarefree, poly_from_ints
+from quadpencil.polys import X, is_squarefree, poly_from_ints
 
 from util import (
     frac_det,
@@ -23,6 +25,7 @@ from util import (
     reference_component_norm,
     reference_component_sqrt,
     reference_mult_matrix,
+    reference_trager_sqrt,
 )
 
 
@@ -310,3 +313,139 @@ def test_sqrt_rejects_element_of_another_algebra():
         with pytest.raises(DomainError, match="elements of different algebras"):
             fn(A, B.element([2]))
     assert sqrt_in_algebra(A, EtaleAlgebra(poly_from_ints([-2, 0, 1])).element([2])) == A.beta
+
+
+def test_sqrt_accepts_rationals():
+    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))
+    assert sqrt_in_algebra(A, 4) == A.from_rational(2)
+    assert sqrt_in_algebra(A, Fraction(1, 2)) == A.beta * Fraction(1, 2)
+    assert sqrt_in_algebra(A, -1) is None
+    assert all_square_roots(A, 4) == [A.from_rational(2), A.from_rational(-2)]
+    assert all_square_roots(A, Fraction(-3)) == []
+    with pytest.raises(DomainError, match="invertible"):
+        sqrt_in_algebra(A, 0)
+
+
+def test_beta_powers_are_reduced_monomials():
+    rng = random.Random(55)
+    for n in range(1, 9):
+        for _ in range(3):
+            A = rand_algebra(rng, n)
+            assert A._beta_pows == [(X**k) % A.g for k in range(max(2 * n - 1, 1))]
+
+
+def rand_field(rng, d):
+    """Q[x]/(g) for a random irreducible monic g of degree d, integral or not."""
+    while True:
+        A = rand_algebra(rng, d)
+        if len(A.factors) == 1:
+            return A
+
+
+@pytest.fixture
+def sqrt_route(monkeypatch):
+    """_component_sqrt with the route it took: 'symbol' (a certified None
+    from residue symbols), 'lift' (a verified p-adic lift) or 'trager'."""
+    calls = []
+    for name in ("_lift_sqrt", "_trager_sqrt"):
+        f = getattr(etale, name)
+        spy = lambda *args, f=f, name=name: calls.append(name) or f(*args)
+        monkeypatch.setattr(etale, name, spy)
+
+    def run(Li, a):
+        del calls[:]
+        r = _component_sqrt(Li, a)
+        if "_trager_sqrt" in calls:
+            return r, "trager"
+        return r, "symbol" if r is None else "lift"
+
+    return run
+
+
+def check_against_trager(sqrt_route, Li, a):
+    got, route = sqrt_route(Li, a)
+    want = reference_trager_sqrt(Li, a)
+    assert repr(got) == repr(want), (Li, a, route)
+    if got is not None:
+        assert got * got == a
+    return route
+
+
+def test_component_sqrt_matches_trager_reference(sqrt_route):
+    rng = random.Random(54)
+    seen = Counter()
+    for d in range(2, 9):
+        for _ in range(4):
+            Li = rand_field(rng, d)
+            c, b = rand_unit(rng, Li), rand_sparse(rng, Li)
+            for a in (c * c, c * c * b, c):
+                if a.is_unit:
+                    seen[check_against_trager(sqrt_route, Li, a)] += 1
+    assert seen["lift"] >= 28 and seen["symbol"] >= 28
+
+
+def test_component_sqrt_special_fields(sqrt_route):
+    cases = [
+        # x^2 + 1
+        ([1, 0, 1], [[-1], [0, 2], [0, 1], [3], [Fraction(-9, 4)], [Fraction(3, 4), -1]]),
+        # ramified at small primes: x^2 - 3, x^3 - 2
+        ([-3, 0, 1], [[3], [Fraction(1, 3)], [0, 1], [-3], [4, Fraction(2, 3)]]),
+        ([-2, 0, 0, 1], [[2], [4], [0, 0, 1], [0, 1], [Fraction(1, 4), Fraction(1, 3), 5]]),
+        # monic with non-integral coefficients: x^2 + 1/4, x^3 - x/3 + 5/2
+        ([Fraction(1, 4), 0, 1], [[-1], [0, 1], [0, -1], [Fraction(1, 4)], [2]]),
+        ([Fraction(5, 2), Fraction(-1, 3), 0, 1], [[0, 0, 1], [3], [Fraction(4, 9)], [1, 1]]),
+    ]
+    for g, elems in cases:
+        Li = EtaleAlgebra(Poly(g))
+        assert len(Li.factors) == 1
+        for cs in elems:
+            for a in (Li.element(cs), Li.element(cs) * Li.element(cs)):
+                check_against_trager(sqrt_route, Li, a)
+
+
+def non_unit_at(Li, primes):
+    """The product over p of beta - k for a root k of g mod p, or of p when
+    g has none: not a unit at some prime above each p."""
+    out = Li.one
+    for p in primes:
+        k = next((k for k in range(p) if Li.g(k) % p == 0), None)
+        out = out * (Li.from_rational(p) if k is None else Li.beta - k)
+    return out
+
+
+def test_component_sqrt_skips_primes_where_a_is_not_a_unit(sqrt_route):
+    # Euler's criterion at such a prime would call a square a non-square
+    first = (3, 5, 7, 11, 13)
+    for g in ([1, 0, 1], [-2, 0, 0, 1], [3, 1, 0, 0, 1], [1, -1, 0, 2, 0, 1]):
+        Li = EtaleAlgebra(poly_from_ints(g))
+        c = non_unit_at(Li, first)
+        walked = [p for p, *_ in islice(etale._good_primes(Li.g, (c * c).poly()), 2)]
+        assert not set(walked) & set(first), (g, walked)
+        for b in (Li.one, Li.beta + 2, Li.element([Fraction(1, 3), Fraction(5, 7)])):
+            for a in (c * c * b * b, c * c * b, c * b * b):
+                check_against_trager(sqrt_route, Li, a)
+
+
+def test_component_sqrt_without_inert_prime_takes_norm_route(sqrt_route):
+    # Q(sqrt 2, sqrt 3): the Galois group (Z/2)^2 has no 4-cycle, so no inert prime
+    Li = EtaleAlgebra(poly_from_ints([1, 0, -10, 0, 1]))
+    b = Li.beta  # sqrt 2 + sqrt 3, and b^2 = 5 + 2 sqrt 6
+    seen = Counter()
+    for a in (b * b, Li.from_rational(2), Li.from_rational(6), (b + 1) * (b + 1),
+              Li.from_rational(Fraction(3, 4)), Li.from_rational(-1), b, b + 1):
+        seen[check_against_trager(sqrt_route, Li, a)] += 1
+    assert seen["trager"] >= 4 and seen["lift"] == 0
+
+
+def test_component_sqrt_routes(sqrt_route, monkeypatch):
+    Li = EtaleAlgebra(poly_from_ints([1, 0, 1]))
+    assert check_against_trager(sqrt_route, Li, Li.from_rational(3)) == "symbol"
+    assert check_against_trager(sqrt_route, Li, Li.from_rational(-1)) == "lift"
+    K = EtaleAlgebra(poly_from_ints([1, 0, -10, 0, 1]))
+    assert check_against_trager(sqrt_route, K, K.beta * K.beta) == "trager"
+    # a lift that has not verified by the precision cap falls back too
+    M = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
+    c = M.element([Fraction(1234567, 89), Fraction(-2, 3), 99991])
+    assert check_against_trager(sqrt_route, M, c * c) == "lift"
+    monkeypatch.setattr(etale, "_LIFT_CAP_BITS", 16)
+    assert check_against_trager(sqrt_route, M, c * c) == "trager"

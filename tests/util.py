@@ -22,7 +22,11 @@ a * beta^j that the shifted columns replaced, the reference algebra inverse
 keeps the extended Euclid over Q that one solve with that matrix replaced,
 and the reference component square root keeps the resultant-interpolated
 norm N_0 and the Euclidean gcd over the field that the characteristic-
-polynomial norm and the reduction modulo (z - s beta)^2 - a replaced.
+polynomial norm and the reduction modulo (z - s beta)^2 - a replaced, and
+the reference Trager square root keeps that norm route in full (the norm
+from the multiplication matrix's characteristic polynomial or from 2d + 1
+resultants, factored by factor_poly), which residue symbols and a p-adic
+lift at an inert prime replaced.
 The reference polynomial keeps the tuple of Fractions, with Euclidean
 division over Q, that the integer numerators over one denominator in
 `polys` replaced, and the reference invariant form keeps the Fraction
@@ -43,7 +47,7 @@ from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra
 from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt
-from quadpencil.linalg import hnf, mat_vec
+from quadpencil.linalg import charpoly, hnf, mat_vec
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
@@ -421,6 +425,47 @@ def reference_component_sqrt(Li, a):
         if len(G) == 2:
             return -G[0] - s * beta
     return None
+
+
+def reference_trager_sqrt(Li, a):
+    """A root of z^2 = a in the field Li or None, by Trager's norm route: the
+    first squarefree N_s(z) = Res_x(g(x), (z - s x)^2 - a(x)), its first
+    factor F, and F reduced modulo (z - s beta)^2 - a."""
+    d = Li.n
+    if d == 1:
+        val = a.coords[0]
+        return Li.element([rational_sqrt(val)]) if is_square_rational(val) else None
+    gpol, apol = Li.g, a.poly()
+    shifts = [0]
+    for k in range(1, 10):
+        shifts += [k, -k]
+    for s in shifts:
+        if s == 0:
+            coeffs = [Fraction(0)] * (2 * d + 1)
+            coeffs[::2] = charpoly(a.mult_matrix()).coeffs
+            N = Poly(coeffs)
+        else:
+            pts, vals = [], []
+            z0 = 0
+            while len(pts) < 2 * d + 1:
+                q = (Poly([z0]) - s * X) ** 2 - apol
+                pts.append(Fraction(z0))
+                vals.append(resultant(gpol, q))
+                z0 = -z0 + (1 if z0 <= 0 else 0)
+            N = lagrange_interpolate(pts, vals)
+        if is_squarefree(N):
+            break
+    else:
+        raise AssertionError("no squarefree norm shift found")
+    F = factor_poly(N)[0][0]
+    if F.degree > d:
+        return None
+    sbeta = s * Li.beta
+    c0 = sbeta * sbeta - a
+    u = v = Li.zero
+    for c in reversed(F.coeffs):
+        u, v = v + 2 * sbeta * u, c - c0 * u
+    return -v * u.inverse() - sbeta
 
 
 class ReferencePoly:
