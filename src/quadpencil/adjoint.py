@@ -5,12 +5,15 @@ that c_1 = trace, c_n = det for n = 2) together with the moments
 a_j = (T^j)_(n,n). The regularity determinant D is the Hankel determinant of
 the moment sequence; when D != 0 the invariants pin down a unique orbit and
 the conjugator between two matrices with equal invariants is unique.
+Moments, the conjugator and its uniqueness come from integer Krylov vectors
+T^j e_n and fraction-free eliminations on the cleared matrices.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError
-from .linalg import charpoly, det, identity, inverse, mat, mat_mul, nullspace
+from .linalg import _bareiss, _clear, charpoly, det, inverse, mat, mat_mul
 
 
 class AdjointInvariants:
@@ -35,16 +38,35 @@ class AdjointInvariants:
         return "AdjointInvariants(c=%r, a=%r)" % (list(self.c), list(self.a))
 
 
+def _square(*Ts):
+    """The Fraction matrices of Ts; DomainError unless square, nonempty, one size."""
+    Ms = [mat(T) for T in Ts]
+    n = len(Ms[0])
+    if not n or any(len(M) != n or any(len(row) != n for row in M) for M in Ms):
+        raise DomainError("expected nonempty square matrices of one size")
+    return Ms
+
+
+def _krylov(T, count):
+    """(D, [D^j T^j e_n for j < count]) on integers, D the lcm of T's denominators."""
+    D, B = _clear(T)
+    v = [0] * (len(B) - 1) + [1]
+    vs = [v]
+    while len(vs) < count:
+        v = [sum(map(mul, row, v)) for row in B]
+        vs.append(v)
+    return D, vs
+
+
 def adjoint_invariants(T) -> AdjointInvariants:
-    T = mat(T)
+    """c from `charpoly`, and a_j = (T^j)_(n,n), the last entry of the
+    Krylov vector T^j e_n."""
+    T, = _square(T)
     n = len(T)
     P = charpoly(T)  # monic, low-order-first coefficients
     c = [(-1) ** i * P[n - i] for i in range(1, n + 1)]
-    a = []
-    M = T
-    for _ in range(n - 1):
-        a.append(M[n - 1][n - 1])
-        M = mat_mul(M, T)
+    D, vs = _krylov(T, n)
+    a = [Fraction(v[n - 1], D ** j) for j, v in enumerate(vs) if j]
     return AdjointInvariants(c, a)
 
 
@@ -59,14 +81,12 @@ def _moments(inv: AdjointInvariants, count):
 
 
 def regularity_D(T) -> Fraction:
-    """det[(T^(i+j))_(n,n)] for 0 <= i, j <= n-1, computed from powers of T."""
-    T = mat(T)
+    """det[(T^(i+j))_(n,n)] for 0 <= i, j <= n-1, computed from powers of T:
+    the last entries of the Krylov vectors T^k e_n."""
+    T, = _square(T)
     n = len(T)
-    pows = [identity(n)]
-    for _ in range(2 * n - 2):
-        pows.append(mat_mul(pows[-1], T))
-    H = [[pows[i + j][n - 1][n - 1] for j in range(n)] for i in range(n)]
-    return det(H)
+    D, vs = _krylov(T, 2 * n - 1)
+    return det([[Fraction(vs[i + j][-1], D ** (i + j)) for j in range(n)] for i in range(n)])
 
 
 def d_determinant(inv: AdjointInvariants) -> Fraction:
@@ -105,27 +125,27 @@ def adjoint_canonical_rep(inv: AdjointInvariants):
 
 
 def adjoint_conjugator(T, Tprime):
-    """g with g T g^-1 = T', g e_n = e_n, e_n^T g = e_n^T; unique when D != 0."""
-    T = mat(T)
-    Tp = mat(Tprime)
+    """g with g T g^-1 = T', g e_n = e_n, e_n^T g = e_n^T; unique when D != 0.
+
+    D is `d_determinant` of the invariants, equal to `regularity_D(T)` by
+    Cayley-Hamilton. Then g maps the Krylov basis (T^j e_n) to (T'^j e_n):
+    g^T solves Q^T X = Q'^T, one integer Bareiss solve.
+    """
+    T, Tp = _square(T, Tprime)
     n = len(T)
     inv1 = adjoint_invariants(T)
     if inv1 != adjoint_invariants(Tp):
         raise DomainError("invariants differ: matrices are not in the same orbit")
-    if regularity_D(T) == 0:
+    if d_determinant(inv1) == 0:
         raise DomainError("irregular: moment determinant vanishes")
-
-    def krylov(M):
-        cols = []
-        v = [Fraction(1 if i == n - 1 else 0) for i in range(n)]
-        for _ in range(n):
-            cols.append(v)
-            v = [sum(M[i][j] * v[j] for j in range(n)) for i in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    Q = krylov(T)
-    Qp = krylov(Tp)
-    g = mat_mul(Qp, inverse(Q))
+    D, vs = _krylov(T, n)
+    Dp, vps = _krylov(Tp, n)
+    # row j of [Q^T | Q'^T], times (D D')^j
+    M = [[x * Dp ** j for x in v] + [x * D ** j for x in vp]
+         for j, (v, vp) in enumerate(zip(vs, vps))]
+    pivots, d = _bareiss(M, n, True)
+    assert len(pivots) == n
+    g = [[Fraction(M[j][n + i], d) for j in range(n)] for i in range(n)]
     assert mat_mul(g, T) == mat_mul(Tp, g)
     assert all(g[i][n - 1] == (1 if i == n - 1 else 0) for i in range(n))
     assert all(g[n - 1][j] == (1 if j == n - 1 else 0) for j in range(n))
@@ -133,25 +153,26 @@ def adjoint_conjugator(T, Tprime):
 
 
 def conjugator_is_unique(T, Tprime) -> bool:
-    """Trivial kernel of the linear system cutting out block conjugators."""
-    T = mat(T)
-    Tp = mat(Tprime)
+    """Trivial kernel of the linear system cutting out block conjugators.
+
+    X e_n = 0 and e_n^T X = 0 leave the (n-1) x (n-1) block Y of X as the
+    unknowns; X T - T' X = 0, cleared to D' X B - D B' X = 0 with B = D T
+    and B' = D' T', gives n^2 integer rows in them. The kernel is trivial
+    iff a fraction-free elimination finds (n-1)^2 pivots.
+    """
+    T, Tp = _square(T, Tprime)
     n = len(T)
-    # unknowns X (n x n, row-major): X T - T' X = 0, X e_n = 0, e_n^T X = 0
+    m = n - 1
+    D, B = _clear(T)
+    Dp, Bp = _clear(Tp)
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [Fraction(0)] * (n * n)
-            for k in range(n):
-                row[i * n + k] += T[k][j]
-                row[k * n + j] -= Tp[i][k]
+            row = [0] * (m * m)
+            for k in range(m):
+                if i < m:
+                    row[i * m + k] += Dp * B[k][j]
+                if j < m:
+                    row[k * m + j] -= D * Bp[i][k]
             rows.append(row)
-    for i in range(n):
-        row = [Fraction(0)] * (n * n)
-        row[i * n + n - 1] = Fraction(1)
-        rows.append(row)
-    for j in range(n):
-        row = [Fraction(0)] * (n * n)
-        row[(n - 1) * n + j] = Fraction(1)
-        rows.append(row)
-    return not nullspace(rows)
+    return len(_bareiss(rows, m * m, False)[0]) == m * m

@@ -147,22 +147,6 @@ def rational_sqrt(a) -> Fraction:
     return Fraction(isqrt(a.numerator), isqrt(a.denominator))
 
 
-def valuation(a, p: int):
-    """(v, u) with a = p^v * u and u a p-unit; a a nonzero int or Fraction."""
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    num, den = a.numerator, a.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
 def divisors(n: int) -> list:
     """Sorted positive divisors of |n|, n != 0."""
     ds = [1]

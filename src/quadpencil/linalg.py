@@ -4,7 +4,8 @@ Matrices are plain lists of lists of Fractions (rows); everything is exact.
 `mat_mul` and the eliminations clear denominators row by row and work on
 Python integers, which avoids a gcd per Fraction operation. `det`, `solve`,
 `inverse` and `nullspace` share one fraction-free elimination loop,
-`_bareiss`; they form Fractions only from its integer results.
+`_bareiss`; they form Fractions only from its integer results. `charpoly`
+clears the whole matrix once (`_clear`) and runs on integers.
 """
 
 from fractions import Fraction
@@ -12,7 +13,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DomainError
-from .polys import Poly
+from .polys import Poly, _make
 
 
 def mat(rows):
@@ -148,21 +149,28 @@ def nullspace(A):
     return basis
 
 
+def _clear(A):
+    """(D, D * A as integer rows), D the lcm of all denominators of A."""
+    D = lcm(*(x.denominator for row in A for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in A]
+
+
 def charpoly(A) -> Poly:
-    """det(x*I - A) as a monic Poly, by the Faddeev-LeVerrier recurrence."""
+    """det(x*I - A) as a monic Poly, by the Faddeev-LeVerrier recurrence on
+    B = D*A, D the lcm of the denominators: M_k = B (M_(k-1) + c_(k-1) I) and
+    c_k = -tr(M_k) / k, exact on integers. A's coefficient k is c_k / D^k."""
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = [row[:] for row in A]
-    c = -sum(M[i][i] for i in range(n))
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
+    D, B = _clear(A)
+    num = [0] * n + [D ** n]
+    M, c = [[0] * n for _ in range(n)], 1
+    for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += c
-        M = mat_mul(A, M)
-        c = -Fraction(sum(M[i][i] for i in range(n)), k)
-        coeffs[n - k] = c
-    return Poly(coeffs)
+        cols = list(zip(*M))
+        M = [[sum(map(mul, row, col)) for col in cols] for row in B]
+        c = -sum(M[i][i] for i in range(n)) // k
+        num[n - k] = c * D ** (n - k)
+    return _make(num, D ** n)
 
 
 def congruence(U, A):

@@ -18,13 +18,12 @@ scalars multiply those integer rows through the table, then take the HNF.
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from math import lcm as int_lcm
 from operator import mul
 
 from .binforms import BinaryForm
 from .errors import DomainError
 from .etale import EtaleAlgebra
-from .linalg import det, hnf, solve, transpose, vec_mat
+from .linalg import _clear, det, hnf, solve, transpose, vec_mat
 from .pencil import SymPair, invariant_binary_form
 
 
@@ -172,12 +171,6 @@ def _ideal_from_rows(order, den, rows, eps):
     return OrientedIdeal(order, den, H, eps)
 
 
-def _cleared(rows):
-    """(den, integer rows) with rows = integer rows / den, den the lcm."""
-    den = int_lcm(*(c.denominator for row in rows for c in row))
-    return den, [[int(c * den) for c in row] for row in rows]
-
-
 def unit_ideal(order: Order) -> OrientedIdeal:
     n = order.n
     return OrientedIdeal(order, 1, [[int(i == j) for j in range(n)] for i in range(n)], 1)
@@ -191,7 +184,7 @@ def power_ideal(order: Order, k: int) -> OrientedIdeal:
     # the natural basis in zeta coordinates: theta^j for j <= k, then zeta_j
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     rows = [order.natural_coords(e, 0) for e in unit[:k + 1]] + unit[k + 1:]
-    ideal = _ideal_from_rows(order, *_cleared(rows), 1 if det(rows) > 0 else -1)
+    ideal = _ideal_from_rows(order, *_clear(rows), 1 if det(rows) > 0 else -1)
     assert ideal.norm() == Fraction(1) / order.f.f0**k
     return ideal
 
@@ -217,7 +210,7 @@ def scalar_ideal(c, I: OrientedIdeal) -> OrientedIdeal:
     nc = c.norm()
     if nc == 0:
         raise DomainError("scalar must be invertible")
-    den, (row,) = _cleared([I.order.to_basis(c)])
+    den, (row,) = _clear([I.order.to_basis(c)])
     eps = I.eps * (1 if nc > 0 else -1)
     return _ideal_from_rows(I.order, den * I.den, _products(I.order, [row], I.mat), eps)
 

@@ -9,7 +9,6 @@ same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 import random
 
 from .binforms import BinaryForm
@@ -23,6 +22,7 @@ from .intutil import (
     shell_prefixes,
 )
 from .linalg import (
+    _clear,
     charpoly,
     congruence,
     det,
@@ -115,9 +115,8 @@ def invariant_binary_form(pair: SymPair) -> BinaryForm:
     n = pair.n
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     # det(sA - B) = det(sA' - B') / D^n with A' = DA, B' = DB integer matrices
-    D = lcm(*(x.denominator for row in pair.A + pair.B for x in row))
-    A = [[x.numerator * (D // x.denominator) for x in row] for row in pair.A]
-    B = [[x.numerator * (D // x.denominator) for x in row] for row in pair.B]
+    D, AB = _clear(pair.A + pair.B)
+    A, B = AB[:n], AB[n:]
     xs = list(range(n + 1))
     ys = [det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]) / D**n
           for s in xs]

@@ -4,13 +4,15 @@ A triple (A, B, C) spans a pencil P(x,y,z) = Ax + By + Cz. The five signed
 4x4 principal sub-Pfaffians of P are ternary quadratics Q_1..Q_5; the signed
 maximal minors of their 5x6 coefficient matrix cut out a single ternary
 quadratic pi, the basic invariant of the action. The triple is stable exactly
-when det(pi) is nonzero.
+when det(pi) is nonzero. A triple is held as integer rows over one
+denominator, and the action, the Q_i and the minors run on integers.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError
-from .linalg import congruence, det, mat, transpose
+from .linalg import _clear, det, mat
 
 MONOMIALS = ("x2", "y2", "z2", "xy", "xz", "yz")
 
@@ -26,22 +28,24 @@ def _check_skew(M):
 
 
 def pfaffian(M):
-    """Pfaffian of an even-dimensional skew matrix, Pf^2 = det."""
+    """Pfaffian of an even-dimensional skew matrix, Pf^2 = det; expanded on
+    the integer D*M, D the lcm of the denominators: Pf(D*M) = D^(n/2) Pf(M)."""
     M = mat(M)
     _check_skew(M)
     n = len(M)
     if n % 2:
         raise DomainError("Pfaffian needs even dimension")
-    return _pf(M)
+    D, B = _clear(M)
+    return Fraction(_pf(B), D ** (n // 2))
 
 
 def _pf(M):
     n = len(M)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 2:
         return M[0][1]
-    total = Fraction(0)
+    total = 0
     sign = 1
     for j in range(1, n):
         if M[0][j] != 0:
@@ -53,7 +57,10 @@ def _pf(M):
 
 
 class SkewTriple:
-    __slots__ = ("A", "B", "C")
+    """Three 5x5 alternating forms A, B, C, held as integer rows `ints` over
+    one denominator `den`; `A`, `B` and `C` read them as Fraction matrices."""
+
+    __slots__ = ("den", "ints")
 
     def __init__(self, A, B, C):
         mats = []
@@ -62,13 +69,39 @@ class SkewTriple:
             if len(M) != 5:
                 raise DomainError("triple must consist of 5x5 matrices")
             _check_skew(M)
-            mats.append(M)
-        self.A, self.B, self.C = mats
+            mats.extend(M)
+        self.den, rows = _clear(mats)
+        self.ints = (rows[:5], rows[5:10], rows[10:])
+
+    def _fractions(self, k):
+        return [[Fraction(x, self.den) for x in row] for row in self.ints[k]]
+
+    A = property(lambda self: self._fractions(0))
+    B = property(lambda self: self._fractions(1))
+    C = property(lambda self: self._fractions(2))
 
     def transformed(self, g):
-        """The action v -> (g A g^T, g B g^T, g C g^T)."""
-        gT = transpose(mat(g))
-        return SkewTriple(*(congruence(gT, M) for M in (self.A, self.B, self.C)))
+        """The action v -> (g A g^T, g B g^T, g C g^T): with G = e g cleared
+        once, each G M G^T on integers over den e^2, skew by construction."""
+        g = mat(g)
+        if len(g) != 5 or any(len(row) != 5 for row in g):
+            raise DomainError("g must be a 5x5 matrix")
+        e, G = _clear(g)
+        out = object.__new__(SkewTriple)
+        out.den = self.den * e * e
+        out.ints = tuple(_skew_congruence(G, M) for M in self.ints)
+        return out
+
+
+def _skew_congruence(G, M):
+    """G M G^T for integer rows G and an alternating integer M."""
+    H = list(zip(*([sum(map(mul, row, g)) for g in G] for row in M)))
+    R = [[0] * 5 for _ in range(5)]
+    for r in range(5):
+        for c in range(r + 1, 5):
+            x = sum(map(mul, G[r], H[c]))
+            R[r][c], R[c][r] = x, -x
+    return R
 
 
 def _lin_mul(u, v):
@@ -83,32 +116,34 @@ def _lin_mul(u, v):
     )
 
 
+def _sub_pfaffians(v: SkewTriple):
+    """Q_1..Q_5 of `sub_pfaffian_forms` times den^2, as integer 6-tuples."""
+    A, B, C = v.ints
+    out = []
+    for i in range(5):
+        p, q, r, s = (k for k in range(5) if k != i)
+        sign = -1 if i % 2 else 1
+        acc = [0] * 6
+        # Pf of a 4x4 with linear-form entries: m01 m23 - m02 m13 + m03 m12
+        for coeff, (a, b), (c, d) in (
+            (sign, (p, q), (r, s)),
+            (-sign, (p, r), (q, s)),
+            (sign, (p, s), (q, r)),
+        ):
+            prod = _lin_mul((A[a][b], B[a][b], C[a][b]), (A[c][d], B[c][d], C[c][d]))
+            acc = [x + coeff * y for x, y in zip(acc, prod)]
+        out.append(tuple(acc))
+    return out
+
+
 def sub_pfaffian_forms(v: SkewTriple):
     """Q_1..Q_5: signed 4x4 sub-Pfaffians of Ax + By + Cz as 6-tuples.
 
     Q_i = (-1)^(i+1) Pf of the minor deleting row and column i (1-based),
     coefficients listed in the order x^2, y^2, z^2, xy, xz, yz.
     """
-    out = []
-    for i in range(5):
-        keep = [r for r in range(5) if r != i]
-
-        def entry(a, b):
-            return (v.A[a][b], v.B[a][b], v.C[a][b])
-
-        p, q, r, s = keep
-        # Pf of a 4x4 with linear-form entries: m01 m23 - m02 m13 + m03 m12
-        acc = [Fraction(0)] * 6
-        for coeff, (e1, e2) in (
-            (1, ((p, q), (r, s))),
-            (-1, ((p, r), (q, s))),
-            (1, ((p, s), (q, r))),
-        ):
-            prod = _lin_mul(entry(*e1), entry(*e2))
-            acc = [a + coeff * c for a, c in zip(acc, prod)]
-        sign = 1 if i % 2 == 0 else -1
-        out.append(tuple(sign * c for c in acc))
-    return out
+    d = v.den ** 2
+    return [tuple(Fraction(c, d) for c in q) for q in _sub_pfaffians(v)]
 
 
 def pi_invariant(v: SkewTriple):
@@ -117,21 +152,20 @@ def pi_invariant(v: SkewTriple):
     Rows of the 5x6 matrix M are the coefficient vectors of Q_1..Q_5; the
     kernel direction is written out by Cramer's rule as alternating-sign
     maximal minors, then folded into a Gram matrix with halved off-diagonals.
+    The minors are taken on the integer rows of den^2 Q_i, so each is den^10
+    times the rational one.
     """
-    Q = sub_pfaffian_forms(v)
-    M = [list(q) for q in Q]
+    M = _sub_pfaffians(v)
     c = []
-    sign = 1
     for j in range(6):
-        cols = [k for k in range(6) if k != j]
-        minor = [[M[r][k] for k in cols] for r in range(5)]
-        c.append(sign * det(minor))
-        sign = -sign
-    h = Fraction(1, 2)
+        minor = [[row[k] for k in range(6) if k != j] for row in M]
+        c.append((-1) ** j * det(minor).numerator)
+    d = v.den ** 10
+    h = 2 * d
     return [
-        [c[0], h * c[3], h * c[4]],
-        [h * c[3], c[1], h * c[5]],
-        [h * c[4], h * c[5], c[2]],
+        [Fraction(c[0], d), Fraction(c[3], h), Fraction(c[4], h)],
+        [Fraction(c[3], h), Fraction(c[1], d), Fraction(c[5], h)],
+        [Fraction(c[4], h), Fraction(c[5], h), Fraction(c[2], d)],
     ]
 
 

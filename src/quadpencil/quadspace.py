@@ -3,8 +3,10 @@
 Forms are symmetric Gram matrices; q(w) = w^T G w. Places are encoded as
 integers: 0 for the real place, otherwise a prime p. Local data (Hilbert
 symbols, Hasse invariants) is computed on a squarefree-integer
-diagonalization, global questions (isotropy, equivalence) by the local-global
-principle over the finite certified place set {0, 2, primes of the diagonal}.
+diagonalization, found by fraction-free elimination; the valuation of a
+squarefree entry at p is whether p divides it. Global questions (isotropy,
+equivalence) use the local-global principle over the finite certified place
+set {0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
@@ -18,9 +20,8 @@ from .intutil import (
     rational_sqrt,
     shell_prefixes,
     squarefree_part,
-    valuation,
 )
-from .linalg import congruence, det, identity, is_symmetric, mat, mat_vec
+from .linalg import _clear, congruence, det, is_symmetric, mat, mat_vec
 
 REAL_PLACE = 0
 
@@ -63,26 +64,37 @@ def _require_nondegenerate(q):
 
 
 def diagonalize(q: QuadForm):
-    """(entries, P) with P^T G P = diag(entries), entries squarefree integers."""
-    n = q.dim
-    G = [row[:] for row in q.gram]
-    P = identity(n)
+    """(entries, P) with P^T G P = diag(entries), entries squarefree integers.
 
-    def add_col(dst, src, c):
-        # col_dst += c * col_src on G (both sides) and on P
-        for r in range(n):
-            G[r][dst] += c * G[r][src]
-        for r in range(n):
-            G[dst][r] += c * G[src][r]
-        for r in range(n):
-            P[r][dst] += c * P[r][src]
+    Fraction-free: G is cleared once by D, the lcm of its denominators, and
+    each column c of the integer P carries a scale s_c, so that the true
+    column is P[.][c] / s_c and the true G[r][c] is G[r][c] / (D s_r s_c).
+    A step col_j <- a col_j + b col_i acts on both sides of G and on P, and
+    s_j *= a; the pivot sequence is that of the rational elimination.
+    """
+    n = q.dim
+    if not n:
+        return [], []
+    D, G = _clear(q.gram)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    s = [1] * n
+
+    def combine(j, i, a, b):
+        # col_j <- a col_j + b col_i on G (both sides) and on P, a / b reduced
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        for M in (G, P):
+            for row in M:
+                row[j] = a * row[j] + b * row[i]
+        G[j] = [a * x + b * y for x, y in zip(G[j], G[i])]
+        s[j] *= a
 
     def swap_cols(i, j):
-        for r in range(n):
-            G[r][i], G[r][j] = G[r][j], G[r][i]
+        for M in (G, P):
+            for row in M:
+                row[i], row[j] = row[j], row[i]
         G[i], G[j] = G[j], G[i]
-        for r in range(n):
-            P[r][i], P[r][j] = P[r][j], P[r][i]
+        s[i], s[j] = s[j], s[i]
 
     for i in range(n):
         if G[i][i] == 0:
@@ -94,22 +106,20 @@ def diagonalize(q: QuadForm):
                 if j is None:
                     raise DomainError("degenerate quadratic form")
                 # both diagonals vanish here; this choice makes the entry 1
-                add_col(i, j, 1 / (2 * G[i][j]))
+                combine(i, j, 2 * G[i][j], D * s[i] ** 2)
         for j in range(i + 1, n):
             if G[i][j] != 0:
-                add_col(j, i, -G[i][j] / G[i][i])
-    entries = []
+                combine(j, i, G[i][i], -G[i][j])
+    entries, scales = [], []
     for i in range(n):
-        d = G[i][i]
-        s = squarefree_part(d)
+        d = Fraction(G[i][i], D * s[i] ** 2)
+        e = squarefree_part(d)
         # scale column so the diagonal entry becomes its squarefree part
-        c2 = Fraction(s) / d
-        c = rational_sqrt(c2)
-        for r in range(n):
-            P[r][i] *= c
-        entries.append(s)
-    D = [[Fraction(entries[i] if i == j else 0) for j in range(n)] for i in range(n)]
-    assert congruence(P, q.gram) == D
+        scales.append(rational_sqrt(e / d) / s[i])
+        entries.append(e)
+    P = [[x * c for x, c in zip(row, scales)] for row in P]
+    Dg = [[Fraction(entries[i] if i == j else 0) for j in range(n)] for i in range(n)]
+    assert congruence(P, q.gram) == Dg
     return entries, P
 
 
@@ -118,39 +128,48 @@ def _legendre(u, p):
     return 1 if r == 1 else -1
 
 
+def _check_place(place):
+    if place != REAL_PLACE and not (isinstance(place, int) and is_prime(place)):
+        raise DomainError("place must be 0 or a prime")
+
+
+def _symbol(A, B, p) -> int:
+    """(A, B)_p for squarefree nonzero integers A, B and p = 0 or a prime.
+
+    Squarefree, so the valuation at p is 0 or 1: whether p divides.
+    """
+    if p == REAL_PLACE:
+        return -1 if (A < 0 and B < 0) else 1
+    al, be = A % p == 0, B % p == 0
+    u = A // p if al else A
+    w = B // p if be else B
+    if p == 2:
+        e = ((u - 1) // 2) * ((w - 1) // 2)
+        e += al * ((w * w - 1) // 8) + be * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    s = -1 if al and be and p % 4 == 3 else 1
+    if be:
+        s *= _legendre(u, p)
+    if al:
+        s *= _legendre(w, p)
+    return s
+
+
 def hilbert_symbol(a, b, place) -> int:
     """(a, b)_v: 1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
-    A = squarefree_part(a)
-    B = squarefree_part(b)
-    if place == REAL_PLACE:
-        return -1 if (A < 0 and B < 0) else 1
-    p = place
-    if not (isinstance(p, int) and is_prime(p)):
-        raise DomainError("place must be 0 or a prime")
-    al, u = valuation(A, p)
-    be, w = valuation(B, p)
-    u, w = int(u), int(w)
-    if p == 2:
-        e = ((u - 1) // 2) * ((w - 1) // 2)
-        e += al * ((w * w - 1) // 8) + be * ((u * u - 1) // 8)
-        return -1 if e % 2 else 1
-    e = al * be * ((p - 1) // 2)
-    s = -1 if e % 2 else 1
-    if be % 2:
-        s *= _legendre(u, p)
-    if al % 2:
-        s *= _legendre(w, p)
-    return s
+    _check_place(place)
+    return _symbol(squarefree_part(a), squarefree_part(b), place)
 
 
 def _hasse(entries, place) -> int:
+    """Product of (e_i, e_j)_place over i < j, entries squarefree integers."""
     s = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            s *= hilbert_symbol(entries[i], entries[j], place)
+    for i, a in enumerate(entries):
+        for b in entries[i + 1:]:
+            s *= _symbol(a, b, place)
     return s
 
 
@@ -167,7 +186,9 @@ def _signature(entries):
 
 
 def hasse_invariant(q: QuadForm, place) -> int:
-    return _hasse(diagonalize(q)[0], place)
+    entries = diagonalize(q)[0]
+    _check_place(place)
+    return _hasse(entries, place)
 
 
 def certified_places(q: QuadForm):
@@ -179,8 +200,8 @@ def signature(q: QuadForm):
     return _signature(diagonalize(q)[0])
 
 
-def _local_square(d, place) -> bool:
-    D = squarefree_part(Fraction(d))
+def _local_square(D, place) -> bool:
+    """Is the squarefree integer D a square at the place?"""
     if D == 1:
         return True
     if place == REAL_PLACE:
@@ -202,12 +223,12 @@ def _isotropic(entries) -> bool:
     d = prod(entries)
     places = _places(entries)
     if n == 3:
-        return all(
-            hilbert_symbol(-1, -d, v) == _hasse(entries, v) for v in places
-        )
+        m = squarefree_part(-d)
+        return all(_symbol(-1, m, v) == _hasse(entries, v) for v in places)
     if n == 4:
+        m = squarefree_part(d)
         for v in places:
-            if _local_square(d, v) and _hasse(entries, v) != hilbert_symbol(-1, -1, v):
+            if _local_square(m, v) and _hasse(entries, v) != _symbol(-1, -1, v):
                 return False
         return True
     pos, neg = _signature(entries)
@@ -354,7 +375,7 @@ def quaternion_class(u, v) -> BrauerClass2:
     places = {REAL_PLACE, 2}
     places.update(factorint(abs(U)))
     places.update(factorint(abs(V)))
-    ram = {p for p in places if hilbert_symbol(U, V, p) == -1}
+    ram = {p for p in places if _symbol(U, V, p) == -1}
     return BrauerClass2(ram)
 
 

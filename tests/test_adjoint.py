@@ -15,9 +15,9 @@ from quadpencil.adjoint import (
     regularity_D,
 )
 from quadpencil.errors import DomainError
-from quadpencil.linalg import charpoly, mat_mul
+from quadpencil.linalg import charpoly, mat, mat_mul
 
-from util import frac_det, random_invertible
+from util import frac_det, random_invertible, reference_conjugator_is_unique
 
 
 def rand_mat(rng, n, lo=-4, hi=4):
@@ -150,3 +150,62 @@ def test_conjugator_rejects_irregular():
     T = [[0, 1], [0, 0]]
     with pytest.raises(DomainError):
         adjoint_conjugator(T, T)
+
+
+def block_conjugate(rng, T):
+    """(H, H T H^-1) for a random H fixing e_n and e_n^T."""
+    n = len(T)
+    H = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        if n > 2:
+            a, b = rng.sample(range(n - 1), 2)
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            for r in range(n - 1):
+                H[r][b] += c * H[r][a]
+        elif n == 2:
+            H[0][0] *= rng.choice((-1, 2, Fraction(1, 3)))
+    return H, mat_mul(mat_mul(H, T), invert(H))
+
+
+def test_conjugator_is_unique_matches_nullspace_reference():
+    rng = random.Random(116)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        T = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.3:
+            # block diagonal T: the identity on the block is in the kernel
+            for i in range(n - 1):
+                T[i][n - 1] = T[n - 1][i] = Fraction(0)
+        H, Tp = block_conjugate(rng, T)
+        cases += [(T, Tp), (T, T), (T, rand_mat(rng, n, -2, 2))]
+        if n > 1 and regularity_D(T) != 0:
+            assert adjoint_conjugator(T, Tp) == H
+    # e_n an eigenvector, scalar and block-diagonal T: nontrivial kernels
+    cases += [([[1, 0], [0, 1]],) * 2, ([[2, 0, 0], [0, 2, 0], [0, 0, 1]],) * 2,
+              ([[1, 2, 0], [3, 4, 0], [0, 0, 5]],) * 2,
+              ([[0, 1, 0], [0, 0, 0], [1, 0, 0]], [[0, 2, 0], [0, 0, 0], [1, 0, 0]])]
+    seen = set()
+    for T, Tp in cases:
+        got = conjugator_is_unique(T, Tp)
+        assert got == reference_conjugator_is_unique(mat(T), mat(Tp)), (T, Tp)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_shapes_are_rejected_at_the_boundary():
+    two, three = [[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    wide = [[1, 2, 3], [4, 5, 6]]
+    calls = [
+        lambda: conjugator_is_unique(two, three),
+        lambda: conjugator_is_unique(wide, wide),
+        lambda: adjoint_conjugator(two, three),
+        lambda: adjoint_conjugator(wide, wide),
+        lambda: adjoint_invariants(wide),
+        lambda: adjoint_invariants([]),
+        lambda: regularity_D([[1, 2], [3]]),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

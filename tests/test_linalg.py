@@ -9,10 +9,12 @@ import pytest
 
 from quadpencil.errors import DomainError
 from quadpencil.linalg import charpoly, det, hnf, inverse, mat_mul, nullspace, solve
+from quadpencil.polys import Poly
 
 from util import (
     frac_det,
     random_invertible,
+    reference_charpoly,
     reference_inverse,
     reference_nullspace,
     reference_solve,
@@ -245,6 +247,19 @@ def test_charpoly_matches_determinants():
         for s in range(-(n // 2), n + 1 - n // 2):
             sI_minus_A = [[(s if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
             assert P(Fraction(s)) == frac_det(sI_minus_A)
+
+
+def test_charpoly_matches_fraction_faddeev_leverrier():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        A = rand_rat_mat(rng, n, n) if rng.random() < 0.7 else rand_mat(rng, n, n)
+        assert outcome(charpoly, A) == outcome(reference_charpoly, A)
+    singular = low_rank(rng, 4, 4, 2)
+    assert charpoly(singular) == reference_charpoly(singular)
+    assert charpoly(singular)[0] == charpoly(singular)[1] == 0
+    assert charpoly([[Fraction(1, 3)]]) == Poly([Fraction(-1, 3), 1])
+    assert charpoly([]) == Poly([1])
 
 
 def in_row_lattice(H, v):

@@ -9,7 +9,15 @@ from quadpencil.errors import DomainError
 from quadpencil.linalg import mat_mul, transpose
 from quadpencil.pfaffian import SkewTriple, pfaffian, pi_invariant, sl5_stable, sub_pfaffian_forms
 
-from util import frac_det, random_invertible, random_skew, unimodular
+from util import (
+    frac_det,
+    random_invertible,
+    random_skew,
+    reference_pi_invariant,
+    reference_sub_pfaffian_forms,
+    reference_transformed,
+    unimodular,
+)
 
 MONOMIALS = ("x2", "y2", "z2", "xy", "xz", "yz")
 
@@ -126,3 +134,52 @@ def test_generic_triples_are_stable():
     rng = random.Random(107)
     hits = sum(1 for _ in range(10) if sl5_stable(rand_triple(rng)))
     assert hits >= 8
+
+
+def rat_skew(rng, n):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 4)))
+            M[i][j], M[j][i] = x, -x
+    return M
+
+
+def test_triple_kernels_match_fraction_reference():
+    rng = random.Random(108)
+    zero = [[Fraction(0)] * 5 for _ in range(5)]
+    for k in range(30):
+        mats = [rat_skew(rng, 5) for _ in range(3)]
+        if k % 5 == 0:
+            mats[2] = zero  # degenerate: pi vanishes
+        v = SkewTriple(*mats)
+        assert [v.A, v.B, v.C] == mats
+        assert sub_pfaffian_forms(v) == reference_sub_pfaffian_forms(*mats)
+        assert pi_invariant(v) == reference_pi_invariant(*mats)
+        g = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(5)]
+             for _ in range(5)]
+        moved = reference_transformed(mats, g)
+        w = v.transformed(g)
+        assert [w.A, w.B, w.C] == moved
+        assert sub_pfaffian_forms(w) == reference_sub_pfaffian_forms(*moved)
+        assert pi_invariant(w) == reference_pi_invariant(*moved)
+        assert pi_invariant(w.transformed(unimodular(rng, 5))) == pi_invariant(w)
+        assert pi_invariant(w) == pi_invariant(SkewTriple(*moved))
+
+
+def test_pfaffian_on_rational_entries():
+    rng = random.Random(109)
+    for n in (2, 4, 6):
+        for _ in range(4):
+            M = rat_skew(rng, n)
+            assert pfaffian(M) ** 2 == frac_det(M)
+
+
+def test_shapes_are_rejected_at_the_boundary():
+    v = rand_triple(random.Random(110))
+    for g in ([[1] * 4 for _ in range(5)], [[1] * 5 for _ in range(4)],
+              [[1] * 5 for _ in range(4)] + [[1] * 4]):
+        with pytest.raises(DomainError):
+            v.transformed(g)
+    with pytest.raises(DomainError):
+        SkewTriple([[0, 1], [-1, 0]], [[0]], [[0]])

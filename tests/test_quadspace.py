@@ -12,6 +12,7 @@ from quadpencil.quadspace import (
     REAL_PLACE,
     BrauerClass2,
     QuadForm,
+    _hasse,
     certified_places,
     diagonalize,
     forms_equivalent,
@@ -29,7 +30,13 @@ from quadpencil.quadspace import (
 from quadpencil.acceptance import _local_solvable
 from quadpencil.intutil import factorint, shell_prefixes
 
-from util import random_invertible, reference_isotropy_witness
+from util import (
+    random_invertible,
+    reference_diagonalize,
+    reference_hasse,
+    reference_hilbert_symbol,
+    reference_isotropy_witness,
+)
 
 
 def diag(*entries):
@@ -66,6 +73,67 @@ def test_diagonalize_congruence():
 def test_diagonalize_hyperbolic_pinned():
     entries, _ = diagonalize(QuadForm([[0, 1], [1, 0]]))
     assert entries == [1, -1]
+
+
+def rat_form(rng, n, zero_diagonal):
+    """Symmetric rational Gram matrix; with zero_diagonal, the hyperbolic
+    branch of the elimination is taken."""
+    G = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + int(zero_diagonal), n):
+            x = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 9)))
+            G[i][j] = G[j][i] = x
+    return QuadForm(G)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as e:
+        return "DomainError: " + str(e)
+
+
+def test_diagonalize_matches_fraction_reference():
+    rng = random.Random(86)
+    degenerate = 0
+    for n in range(1, 7):
+        for k in range(40):
+            q = rat_form(rng, n, zero_diagonal=k % 3 == 0)
+            got = outcome(diagonalize, q)
+            assert got == outcome(reference_diagonalize, q)
+            degenerate += isinstance(got, str)
+    assert degenerate > 5
+    # U^T (diag(d) + hyperbolic planes) U, U unit upper triangular: the
+    # hyperbolic branch runs on columns that earlier steps have scaled
+    for n in range(3, 7):
+        for _ in range(10):
+            k = rng.randint(1, n - 2)
+            H = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(k):
+                H[i][i] = Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+            for i in range(k, n - 1, 2):
+                H[i][i + 1] = H[i + 1][i] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            U = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if c > r else Fraction(int(c == r))
+                  for c in range(n)] for r in range(n)]
+            q = QuadForm(H).transformed(U)
+            assert outcome(diagonalize, q) == outcome(reference_diagonalize, q)
+    for G in ([[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+              [[0, 2, 1], [2, 0, 0], [1, 0, 0]], [[Fraction(1, 2), 1], [1, 2]],
+              [[0, Fraction(1, 3), 0, 0], [Fraction(1, 3), 0, 0, 0], [0, 0, 0, 5], [0, 0, 5, 0]]):
+        q = QuadForm(G)
+        assert outcome(diagonalize, q) == outcome(reference_diagonalize, q)
+
+
+def test_empty_form_queries():
+    q = QuadForm([])
+    assert diagonalize(q) == ([], [])
+    assert not is_isotropic(q)
+    assert isotropy_witness(q, 3) is None
+    assert signature(q) == (0, 0)
+    assert hasse_invariant(q, 2) == 1
+    assert certified_places(q) == {REAL_PLACE, 2}
+    assert forms_equivalent(q, QuadForm([]))
+    assert not forms_equivalent(q, diag(1))
 
 
 def test_hilbert_symbol_pinned():
@@ -119,11 +187,30 @@ def test_hilbert_reciprocity():
         assert prod == 1
 
 
+def test_symbols_match_valuation_reference():
+    rng = random.Random(87)
+    pool = [d for d in range(-40, 41) if d and all(e == 1 for e in factorint(abs(d)).values())]
+    for _ in range(300):
+        entries = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        places = {REAL_PLACE, 2, 3, 5, 7}
+        for d in entries:
+            places.update(factorint(abs(d)))
+        for v in places:
+            assert _hasse(entries, v) == reference_hasse(entries, v), (entries, v)
+    for _ in range(300):
+        a = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 12))
+        b = Fraction(rng.randint(-60, 60) or 1, rng.randint(1, 12))
+        for v in (REAL_PLACE, 2, 3, 5, 7, 11, 13):
+            assert hilbert_symbol(a, b, v) == reference_hilbert_symbol(a, b, v), (a, b, v)
+
+
 def test_hilbert_symbol_rejections():
     with pytest.raises(DomainError):
         hilbert_symbol(0, 3, 5)
     with pytest.raises(DomainError):
         hilbert_symbol(2, 3, 4)
+    with pytest.raises(DomainError):
+        hasse_invariant(diag(1, 2, 3), 9)
 
 
 def test_signature_and_hasse():

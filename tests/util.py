@@ -31,6 +31,11 @@ The reference polynomial keeps the tuple of Fractions, with Euclidean
 division over Q, that the integer numerators over one denominator in
 `polys` replaced, and the reference invariant form keeps the Fraction
 matrices sA - B that the integer matrices replaced.
+The reference diagonalization, Hilbert symbol, sub-Pfaffians, pi invariant,
+congruence g M g^T, characteristic polynomial and conjugator uniqueness keep
+the Fraction routes that the integer kernels replaced: rational elimination
+steps, valuations of the squarefree parts, Fraction minors and products,
+Faddeev-LeVerrier over Q, and the nullspace of the full n^2-unknown system.
 """
 
 from fractions import Fraction
@@ -46,7 +51,7 @@ from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
 from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra
 from quadpencil.factor import factor_poly
-from quadpencil.intutil import divisors, is_square_rational, rational_sqrt
+from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
 from quadpencil.linalg import charpoly, hnf, mat_vec
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam
@@ -596,3 +601,165 @@ def reference_invariant_form(pair):
           for s in xs]
     q = lagrange_interpolate(xs, ys)
     return tuple(sign * q[n - i] for i in range(n + 1))
+
+
+def reference_diagonalize(q):
+    """The Fraction route of `diagonalize`: the same pivot sequence, each
+    step col_j += c col_i with a rational c, then each column scaled so its
+    diagonal entry becomes its squarefree part."""
+    n = q.dim
+    G = [row[:] for row in q.gram]
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_col(dst, src, c):
+        for r in range(n):
+            G[r][dst] += c * G[r][src]
+        for r in range(n):
+            G[dst][r] += c * G[src][r]
+        for r in range(n):
+            P[r][dst] += c * P[r][src]
+
+    def swap_cols(i, j):
+        for r in range(n):
+            G[r][i], G[r][j] = G[r][j], G[r][i]
+        G[i], G[j] = G[j], G[i]
+        for r in range(n):
+            P[r][i], P[r][j] = P[r][j], P[r][i]
+
+    for i in range(n):
+        if G[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if G[k][k] != 0), None)
+            if j is not None:
+                swap_cols(i, j)
+            else:
+                j = next((k for k in range(i + 1, n) if G[i][k] != 0), None)
+                if j is None:
+                    raise DomainError("degenerate quadratic form")
+                add_col(i, j, 1 / (2 * G[i][j]))
+        for j in range(i + 1, n):
+            if G[i][j] != 0:
+                add_col(j, i, -G[i][j] / G[i][i])
+    entries = []
+    for i in range(n):
+        d = G[i][i]
+        s = squarefree_part(d)
+        c = rational_sqrt(Fraction(s) / d)
+        for r in range(n):
+            P[r][i] *= c
+        entries.append(s)
+    return entries, P
+
+
+def reference_hilbert_symbol(a, b, place):
+    """(a, b)_place from the valuations of the squarefree parts of a and b."""
+    A, B = squarefree_part(Fraction(a)), squarefree_part(Fraction(b))
+    if place == 0:
+        return -1 if (A < 0 and B < 0) else 1
+    p = place
+
+    def val(x):
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v, x
+
+    (al, u), (be, w) = val(A), val(B)
+    if p == 2:
+        e = ((u - 1) // 2) * ((w - 1) // 2)
+        e += al * ((w * w - 1) // 8) + be * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+
+    def leg(x):
+        return 1 if pow(x % p, (p - 1) // 2, p) == 1 else -1
+
+    s = -1 if (al * be * ((p - 1) // 2)) % 2 else 1
+    if be % 2:
+        s *= leg(u)
+    if al % 2:
+        s *= leg(w)
+    return s
+
+
+def reference_hasse(entries, place):
+    s = 1
+    for i in range(len(entries)):
+        for j in range(i + 1, len(entries)):
+            s *= reference_hilbert_symbol(entries[i], entries[j], place)
+    return s
+
+
+def _frac_mul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)]
+            for row in A]
+
+
+def reference_transformed(mats, g):
+    """(g M g^T for M in mats) on Fraction matrices."""
+    gT = [list(col) for col in zip(*g)]
+    return [_frac_mul(_frac_mul(g, M), gT) for M in mats]
+
+
+def reference_sub_pfaffian_forms(A, B, C):
+    """Q_1..Q_5 as 6-tuples of Fractions from the Fraction matrices A, B, C."""
+    def lin_mul(u, v):
+        return (u[0] * v[0], u[1] * v[1], u[2] * v[2], u[0] * v[1] + u[1] * v[0],
+                u[0] * v[2] + u[2] * v[0], u[1] * v[2] + u[2] * v[1])
+
+    out = []
+    for i in range(5):
+        p, q, r, s = [k for k in range(5) if k != i]
+        acc = [Fraction(0)] * 6
+        for coeff, (a, b), (c, d) in ((1, (p, q), (r, s)), (-1, (p, r), (q, s)),
+                                      (1, (p, s), (q, r))):
+            prod = lin_mul((A[a][b], B[a][b], C[a][b]), (A[c][d], B[c][d], C[c][d]))
+            acc = [x + coeff * y for x, y in zip(acc, prod)]
+        sign = 1 if i % 2 == 0 else -1
+        out.append(tuple(sign * x for x in acc))
+    return out
+
+
+def reference_pi_invariant(A, B, C):
+    """pi from Fraction minors of the 5x6 coefficient matrix of Q_1..Q_5."""
+    M = reference_sub_pfaffian_forms(A, B, C)
+    c = [(-1) ** j * frac_det([[row[k] for k in range(6) if k != j] for row in M])
+         for j in range(6)]
+    h = Fraction(1, 2)
+    return [[c[0], h * c[3], h * c[4]], [h * c[3], c[1], h * c[5]],
+            [h * c[4], h * c[5], c[2]]]
+
+
+def reference_charpoly(A):
+    """det(x*I - A) by Faddeev-LeVerrier on Fraction matrices."""
+    n = len(A)
+    A = [[Fraction(x) for x in row] for row in A]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    M = [row[:] for row in A]
+    c = -sum(M[i][i] for i in range(n))
+    coeffs[n - 1] = c
+    for k in range(2, n + 1):
+        for i in range(n):
+            M[i][i] += c
+        M = _frac_mul(A, M)
+        c = -Fraction(sum(M[i][i] for i in range(n)), k)
+        coeffs[n - k] = c
+    return Poly(coeffs)
+
+
+def reference_conjugator_is_unique(T, Tp):
+    """Trivial kernel of X T - T' X = 0, X e_n = 0, e_n^T X = 0 in all n^2
+    unknowns, by the Fraction Gauss-Jordan nullspace."""
+    n = len(T)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [Fraction(0)] * (n * n)
+            for k in range(n):
+                row[i * n + k] += T[k][j]
+                row[k * n + j] -= Tp[i][k]
+            rows.append(row)
+    for i in range(n):
+        rows.append([Fraction(int(c == i * n + n - 1)) for c in range(n * n)])
+        rows.append([Fraction(int(c == (n - 1) * n + i)) for c in range(n * n)])
+    return not reference_nullspace(rows)
