@@ -246,10 +246,12 @@ def _zassenhaus(F, rng):
     A = max(abs(c) for c in F)
     bound = (isqrt(n + 1) + 1) * 2**n * A * abs(lc)
 
+    # Only the finitely many primes dividing lc * disc(F) are bad, so the walk
+    # goes on until one candidate is found; the cap of 40 applies after that.
     candidates = []
     p = 2
     tried = 0
-    while len(candidates) < 3 and tried < 40:
+    while len(candidates) < 3 and (tried < 40 or not candidates):
         p = next_prime(p)
         tried += 1
         if lc % p == 0:
@@ -262,7 +264,6 @@ def _zassenhaus(F, rng):
         candidates.append((sum((len(part) - 1) // d for part, d in ddf), p, ddf))
         if candidates[-1][0] == 1:
             return [F if lc > 0 else [-c for c in F]]
-    assert candidates, "no good prime found"
     _, p, ddf = min(candidates, key=lambda t: t[:2])
     modular = _gf_split(ddf, p, rng)
 

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
 Matrices are plain lists of lists of Fractions (rows); everything is exact.
-`mat_mul` and the eliminations clear denominators row by row and work on
-Python integers, which avoids a gcd per Fraction operation. `det`, `solve`,
-`inverse` and `nullspace` share one fraction-free elimination loop,
-`_bareiss`; they form Fractions only from its integer results. `charpoly`
-clears the whole matrix once (`_clear`) and runs on integers.
+Every kernel runs on Python integers and forms Fractions only for what it
+returns, which avoids a gcd per Fraction operation. `mat_mul` and the
+eliminations clear denominators row by row; `det`, `solve`, `inverse` and
+`nullspace` share one fraction-free elimination loop, `_bareiss`.
+`congruence`, `mat_vec`, `vec_mat` and `charpoly` clear each operand once
+(`_clear`), and `congruence` and `charpoly` multiply with `_int_mul`.
 """
 
 from fractions import Fraction
@@ -46,12 +47,22 @@ def mat_mul(A, B):
             for da, ra in _int_rows(A)]
 
 
+def _int_mul(A, B):
+    """A B for matrices of ints."""
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
 def mat_vec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    """A v, with A and v each cleared once."""
+    (da, A), (dv, (v,)) = _clear(A), _clear([v])
+    return [Fraction(sum(map(mul, row, v)), da * dv) for row in A]
 
 
 def vec_mat(v, A):
-    return [sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0]))]
+    """v A, with v and A each cleared once."""
+    (dv, (v,)), (da, A) = _clear([v]), _clear(A)
+    return [Fraction(sum(map(mul, v, col)), da * dv) for col in zip(*A)]
 
 
 def _bareiss(M, ncols, jordan):
@@ -166,16 +177,17 @@ def charpoly(A) -> Poly:
     for k in range(1, n + 1):
         for i in range(n):
             M[i][i] += c
-        cols = list(zip(*M))
-        M = [[sum(map(mul, row, col)) for col in cols] for row in B]
+        M = _int_mul(B, M)
         c = -sum(M[i][i] for i in range(n)) // k
         num[n - k] = c * D ** (n - k)
     return _make(num, D ** n)
 
 
 def congruence(U, A):
-    """U^T A U."""
-    return mat_mul(transpose(U), mat_mul(A, U))
+    """U^T A U for an m x k U and an m x m A, with U and A each cleared once."""
+    (du, U), (da, A) = _clear(U), _clear(A)
+    den = du * du * da
+    return [[Fraction(x, den) for x in row] for row in _int_mul(transpose(U), _int_mul(A, U))]
 
 
 def is_symmetric(A):

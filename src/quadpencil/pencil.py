@@ -10,6 +10,8 @@ same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
 from fractions import Fraction
 from itertools import combinations, product
 import random
+from math import gcd, lcm
+from operator import mul
 
 from .binforms import BinaryForm
 from .errors import DomainError
@@ -21,18 +23,8 @@ from .intutil import (
     rational_sqrt,
     shell_prefixes,
 )
-from .linalg import (
-    _clear,
-    charpoly,
-    congruence,
-    det,
-    identity,
-    inverse,
-    is_symmetric,
-    mat_mul,
-    mat_vec,
-)
-from .polys import discriminant, lagrange_interpolate, real_root_count
+from .linalg import _bareiss, _clear, _int_mul, charpoly, congruence, det, is_symmetric, transpose
+from .polys import _make, discriminant, real_root_count
 
 
 class SymPair:
@@ -110,18 +102,43 @@ class StabilizerGroup:
         self.elements = elements
 
 
+def _form(D, A, B) -> BinaryForm:
+    """f from the cleared A' = DA and B' = DB: det(sA' - B') = D^n det(sA - B)
+    has integer coefficients, so its Newton form at s = 0..n does too (the
+    k-th forward difference of an integer polynomial is divisible by k!)."""
+    n = len(A)
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    c = [det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]).numerator
+         for s in range(n + 1)]
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // k
+    q = []  # Horner: q <- q (s - i) + c_i, coefficients low first
+    for i in range(n, -1, -1):
+        q = [a - i * b for a, b in zip([c[i], *q], [*q, 0])]
+    Dn = D**n
+    return BinaryForm([Fraction(sign * q[n - i], Dn) for i in range(n + 1)])
+
+
 def invariant_binary_form(pair: SymPair) -> BinaryForm:
     """f(x,y) = (-1)^(n(n-1)/2) det(xA - yB), coefficients f0..fn."""
+    D, AB = _clear(pair.A + pair.B)
+    return _form(D, AB[:pair.n], AB[pair.n:])
+
+
+def _stable_T(pair: SymPair):
+    """(f, D, A', B', d, d T) for a stable pencil, with A' = DA and B' = DB
+    integer rows (D the lcm of their denominators) and T = A^(-1) B: one
+    Jordan elimination of [A' | B'] leaves d I on the left, d T on the right."""
     n = pair.n
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    # det(sA - B) = det(sA' - B') / D^n with A' = DA, B' = DB integer matrices
     D, AB = _clear(pair.A + pair.B)
     A, B = AB[:n], AB[n:]
-    xs = list(range(n + 1))
-    ys = [det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]) / D**n
-          for s in xs]
-    q = lagrange_interpolate(xs, ys)  # det(sA - B) as a polynomial in s
-    return BinaryForm([sign * q[n - i] for i in range(n + 1)])
+    f = _form(D, A, B)
+    _require_stable(f)
+    M = [ra + rb for ra, rb in zip(A, B)]
+    pivots, d = _bareiss(M, n, True)
+    assert len(pivots) == n
+    return f, D, A, B, d, [row[n:] for row in M]
 
 
 def _require_stable(f: BinaryForm):
@@ -131,20 +148,22 @@ def _require_stable(f: BinaryForm):
         raise DomainError("pencil is not stable: disc(f) = 0")
 
 
-def _cyclic_vector(T, seed=0):
-    """Independent vectors m, Tm, ..., T^(n-1)m and their determinant."""
-    n = len(T)
+def _cyclic_vector(S, seed=0):
+    """Independent integer vectors m, S m, ..., S^(n-1) m and their determinant,
+    for S = d T: the unit vectors first, then rounds of 8 random ones. Their
+    determinant is d^(n(n-1)/2) times T's, so the same m is chosen as for T."""
+    n = len(S)
     rng = random.Random(seed)
-    tries = [[Fraction(1 if i == k else 0) for i in range(n)] for k in range(n)]
+    tries = [[int(i == k) for i in range(n)] for k in range(n)]
     while True:
         for m in tries:
             krylov = [m]
             for _ in range(n - 1):
-                krylov.append(mat_vec(T, krylov[-1]))
-            d = det(krylov)
+                krylov.append([sum(map(mul, row, krylov[-1])) for row in S])
+            d = det(krylov).numerator
             if d != 0:
                 return krylov, d
-        tries = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(8)]
+        tries = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(8)]
 
 
 def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
@@ -153,20 +172,22 @@ def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
     T = A^(-1) B is self-adjoint for A with characteristic polynomial g; for a
     cyclic vector m the moments a_i = <m, T^i m>_A determine kappa through
     Tr(kappa beta^i / g'(beta)) = a_i, and alpha = kappa^(-1),
-    t = 1/det[m | Tm | ... | T^(n-1) m].
+    t = 1/det[m | Tm | ... | T^(n-1) m]. On the cleared A' = DA, B' = DB and
+    d T = d A'^(-1) B': a_i = m^T A' (dT)^i m / (D d^i), and the determinant
+    of the integer Krylov vectors is d^(n(n-1)/2) / t.
     """
-    f = invariant_binary_form(pair)
-    _require_stable(f)
+    f, D, A, B, d, S = _stable_T(pair)
     g = f.monic_part()
     L = EtaleAlgebra(g)
-    T = mat_mul(inverse(pair.A), pair.B)
-    assert charpoly(T) == g
-    krylov, dQ = _cyclic_vector(T, seed)
-    Am = mat_vec(pair.A, krylov[0])
-    moments = [sum(a * x for a, x in zip(Am, v)) for v in krylov]
+    n = pair.n
+    # charpoly(d T)(x) = d^n g(x / d): the same identity as charpoly(T) == g
+    assert charpoly(S) == _make([c * d ** (n - k) for k, c in enumerate(g.num)], g.den)
+    krylov, dK = _cyclic_vector(S, seed)
+    Am = [sum(map(mul, row, krylov[0])) for row in A]
+    moments = [Fraction(sum(map(mul, Am, v)), D * d**k) for k, v in enumerate(krylov)]
     kappa = euler_trace_solve(L, moments)
     alpha = kappa.inverse()
-    t = Fraction(1) / dQ
+    t = Fraction(d ** (n * (n - 1) // 2), dK)
     assert t * t == f.f0 * alpha.norm()
     return OrbitParam(L, alpha, t)
 
@@ -189,11 +210,10 @@ def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
     n = f.n
     w = (p.alpha * L.from_poly(g.derivative())).inverse()
     h = [w.trace(k) for k in range(2 * n)]
-    Atil = [h[i : i + n] for i in range(n)]
-    Btil = [h[i + 1 : i + n + 1] for i in range(n)]
-    U = identity(n)
-    U[0][0] = p.t
-    pair = SymPair(congruence(U, Atil), congruence(U, Btil))
+    # U^T H U for U = diag(t, 1, ..., 1): row and column 0 scaled by t
+    u = [p.t] + [1] * (n - 1)
+    pair = SymPair([[h[i + j] * u[i] * u[j] for j in range(n)] for i in range(n)],
+                   [[h[i + j + 1] * u[i] * u[j] for j in range(n)] for i in range(n)])
     assert invariant_binary_form(pair) == f
     return pair
 
@@ -270,25 +290,39 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
     the factors g_i with prod s_i^(deg g_i) = 1; the order is 2^(r-1) when
     some factor has odd degree and 2^r otherwise. Over the separable closure
     every factor splits linearly, giving order 2^(n-1).
+
+    Each E_i(T) comes from Horner's rule on the integer matrix d T, all over
+    one denominator C; the group laws are checked on the integer C M.
     """
-    f = invariant_binary_form(pair)
-    _require_stable(f)
+    f, _, A, B, d, S = _stable_T(pair)
     n = pair.n
     L = EtaleAlgebra(f.monic_part())
-    T = mat_mul(inverse(pair.A), pair.B)
     degs = [gi.degree for gi in L.factors]
     r = len(degs)
 
-    def eval_at_T(elem):
-        out = [[Fraction(0)] * n for _ in range(n)]
-        P = identity(n)
-        for c in elem.poly().coeffs:
-            if c:
-                out = [[out[i][j] + c * P[i][j] for j in range(n)] for i in range(n)]
-            P = mat_mul(P, T)
-        return out
+    # E_i = P(beta), P = num / den of degree m: E_i(T) = H / (den d^m) for the
+    # Horner sum H <- H (d T) + num_k d^(m-k) I, reduced by its entries' gcd
+    E_ints, dens = [], []
+    for e in L.idempotents():
+        P = e.poly()
+        m = P.degree
+        H = [[0] * n for _ in range(n)]
+        for k in range(m, -1, -1):
+            H = _int_mul(H, S) if k < m else H
+            for i in range(n):
+                H[i][i] += P.num[k] * d ** (m - k)
+        c = P.den * d**m
+        q = gcd(c, *(x for row in H for x in row))
+        E_ints.append([[x // q for x in row] for row in H])
+        dens.append(c // q)
+    C = lcm(*dens)
+    E_ints = [[[x * (C // c) for x in row] for row in H] for H, c in zip(E_ints, dens)]
 
-    E_mats = [eval_at_T(e) for e in L.idempotents()]
+    def combination(signs):
+        return [[sum(s * E[i][j] for s, E in zip(signs, E_ints)) for j in range(n)]
+                for i in range(n)]
+
+    C2 = C * C
     elements = []
     for signs in product([1, -1], repeat=r):
         parity = 1
@@ -296,13 +330,12 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
             parity *= s**dg
         if parity != 1:
             continue
-        M = [[sum(s * E[i][j] for s, E in zip(signs, E_mats)) for j in range(n)]
-             for i in range(n)]
-        assert congruence(M, pair.A) == pair.A
-        assert congruence(M, pair.B) == pair.B
-        assert mat_mul(M, M) == identity(n)
-        assert det(M) == 1
-        elements.append(M)
+        M = combination(signs)
+        assert _int_mul(transpose(M), _int_mul(A, M)) == [[C2 * x for x in row] for row in A]
+        assert _int_mul(transpose(M), _int_mul(B, M)) == [[C2 * x for x in row] for row in B]
+        assert _int_mul(M, M) == [[C2 * (i == j) for j in range(n)] for i in range(n)]
+        assert det(M) == C**n
+        elements.append([[Fraction(x, C) for x in row] for row in M])
 
     # generating sign flips: kernel basis of s -> sum deg_i s_i over F_2
     odd = [i for i, dg in enumerate(degs) if dg % 2]
@@ -314,10 +347,8 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
         bits[i] = 1
         if odd and degs[i] % 2:
             bits[odd[0]] = 1
-        signs = [(-1) ** b for b in bits]
-        M = [[sum(s * E[i2][j] for s, E in zip(signs, E_mats)) for j in range(n)]
-             for i2 in range(n)]
-        gens.append(M)
+        M = combination([(-1) ** b for b in bits])
+        gens.append([[Fraction(x, C) for x in row] for row in M])
 
     order = 2 ** (r - 1) if odd else 2**r
     assert len(elements) == order

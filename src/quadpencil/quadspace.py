@@ -21,7 +21,7 @@ from .intutil import (
     shell_prefixes,
     squarefree_part,
 )
-from .linalg import _clear, congruence, det, is_symmetric, mat, mat_vec
+from .linalg import _clear, _int_mul, congruence, det, is_symmetric, mat, mat_vec, transpose
 
 REAL_PLACE = 0
 
@@ -110,16 +110,19 @@ def diagonalize(q: QuadForm):
         for j in range(i + 1, n):
             if G[i][j] != 0:
                 combine(j, i, G[i][i], -G[i][j])
+    # P^T (D G) P = diag(D s_i^2 d_i): with c^2 d_i = e_i, P'^T G P' = diag(e_i)
+    assert _int_mul(transpose(P), _int_mul(_clear(q.gram)[1], P)) == [
+        [G[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
     entries, scales = [], []
     for i in range(n):
         d = Fraction(G[i][i], D * s[i] ** 2)
         e = squarefree_part(d)
         # scale column so the diagonal entry becomes its squarefree part
-        scales.append(rational_sqrt(e / d) / s[i])
+        c = rational_sqrt(e / d)
+        assert c * c * d == e
+        scales.append(c / s[i])
         entries.append(e)
     P = [[x * c for x, c in zip(row, scales)] for row in P]
-    Dg = [[Fraction(entries[i] if i == j else 0) for j in range(n)] for i in range(n)]
-    assert congruence(P, q.gram) == Dg
     return entries, P
 
 

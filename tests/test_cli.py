@@ -3,11 +3,15 @@
 import importlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import quadpencil
 from quadpencil.cli import main
+from quadpencil.intutil import next_prime
 
 
 def run(capsys, *argv):
@@ -54,6 +58,24 @@ def test_pencil_stab(capsys):
     payload = '{"A": [[1, 0], [0, 1]], "B": [[0, 1], [1, 0]]}'
     out = run_json(capsys, "pencil", "stab", "--json", payload)
     assert out["order"] == 2 and out["geometric_order"] == 2
+
+
+def test_pencil_stab_with_det_divisible_by_forty_primes(capsys):
+    # det A = 2 * 3 * 5 * ... * 179: factoring g must walk on to the prime 181
+    P, p = 2, 2
+    for _ in range(40):
+        p = next_prime(p)
+        P *= p
+    payload = json.dumps({"A": [[1, 0], [0, P]], "B": [[0, 1], [1, 0]]})
+    out = run_json(capsys, "pencil", "stab", "--json", payload)
+    assert out["order"] == 2 and out["geometric_order"] == 2
+    # the same without asserts, through stdin as a separate process
+    src = os.path.dirname(os.path.dirname(quadpencil.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-m", "quadpencil.cli", "pencil", "stab"],
+                          input=payload, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1 and json.loads(proc.stdout)["order"] == 2
 
 
 def test_integral_canonical(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from quadpencil import Poly, factor_poly, is_irreducible
 from quadpencil.factor import gf_divmod, gf_factor_squarefree, gf_from_int, gf_is_squarefree, gf_mul
+from quadpencil.intutil import next_prime
 from quadpencil.polys import poly_from_ints
 
 # known irreducibles over Q, constant coefficient first
@@ -155,3 +156,23 @@ def test_factor_content_handling():
         ((Fraction(-1), Fraction(1)), 1),
         ((Fraction(1), Fraction(1)), 1),
     ]
+
+
+def primorial_lc():
+    """2 times the first 40 odd primes: every prime the Zassenhaus walk used
+    to try divides it."""
+    P, p = 2, 2
+    for _ in range(40):
+        p = next_prime(p)
+        P *= p
+    return P
+
+
+def test_factor_walks_past_forty_bad_primes():
+    P = primorial_lc()
+    assert P % 179 == 0 and P % 181
+    # P x^2 + 1: no root, so irreducible; the first good prime is 181
+    assert factor_poly(Poly([1, 0, P])) == [(Poly([Fraction(1, P), 0, 1]), 1)]
+    # and a split one: (P x - 1)(x + 1)
+    assert factor_poly(Poly([-1, P - 1, P])) == [
+        (Poly([Fraction(-1, P), 1]), 1), (Poly([1, 1]), 1)]

@@ -8,16 +8,30 @@ from math import gcd
 import pytest
 
 from quadpencil.errors import DomainError
-from quadpencil.linalg import charpoly, det, hnf, inverse, mat_mul, nullspace, solve
+from quadpencil.linalg import (
+    charpoly,
+    congruence,
+    det,
+    hnf,
+    inverse,
+    mat_mul,
+    mat_vec,
+    nullspace,
+    solve,
+    vec_mat,
+)
 from quadpencil.polys import Poly
 
 from util import (
     frac_det,
     random_invertible,
     reference_charpoly,
+    reference_congruence,
     reference_inverse,
+    reference_mat_vec,
     reference_nullspace,
     reference_solve,
+    reference_vec_mat,
 )
 
 
@@ -118,6 +132,49 @@ def test_mat_mul_matches_fraction_product():
     B = rand_rat_mat(rng, 4, 2)
     assert mat_mul(A, B) == product(A, B)
     assert mat_mul([[Fraction(1, 2)]], [[Fraction(2, 3)]]) == [[Fraction(1, 3)]]
+
+
+def wide_rat_mat(rng, m, n):
+    """Rational entries over large and mixed denominators, some zero."""
+    dens = [1, 2, 3, 7, 10, 999_983, 2**61 - 1]
+    return [[Fraction(rng.randint(-30, 30), rng.choice(dens)) if rng.random() < 0.8
+             else Fraction(0) for _ in range(n)] for _ in range(m)]
+
+
+def assert_same_fractions(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_congruence_matches_fraction_route():
+    # square, wide, tall and singular U against the Fraction product U^T A U
+    rng = random.Random(13)
+    for _ in range(60):
+        m, k = rng.randint(1, 6), rng.randint(1, 6)
+        U, A = wide_rat_mat(rng, m, k), wide_rat_mat(rng, m, m)
+        assert_same_fractions(congruence(U, A), reference_congruence(U, A))
+    for m, k in ((3, 3), (4, 2), (2, 5)):
+        U = [[Fraction(x) for x in row] for row in low_rank(rng, m, k, 1)]
+        A = wide_rat_mat(rng, m, m)
+        assert_same_fractions(congruence(U, A), reference_congruence(U, A))
+    U = [[Fraction(0)] * 3 for _ in range(3)]
+    assert congruence(U, wide_rat_mat(rng, 3, 3)) == [[0] * 3 for _ in range(3)]
+    # int entries are accepted and the result is still Fractions
+    U, A = [[1, 2], [0, 1], [3, 0]], [[2, 0, 1], [0, -1, 0], [1, 0, 5]]
+    assert_same_fractions(congruence(U, A), reference_congruence(U, A))
+
+
+def test_mat_vec_and_vec_mat_match_fraction_route():
+    rng = random.Random(14)
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = wide_rat_mat(rng, m, n)
+        v, w = wide_rat_mat(rng, 1, n)[0], wide_rat_mat(rng, 1, m)[0]
+        assert_same_fractions([mat_vec(A, v)], [reference_mat_vec(A, v)])
+        assert_same_fractions([vec_mat(w, A)], [reference_vec_mat(w, A)])
+    A = [[1, 2, 3], [4, 5, 6]]
+    assert mat_vec(A, [1, 0, -1]) == [-2, -2]
+    assert vec_mat([1, -1], A) == [-3, -3, -3]
 
 
 def test_solve_satisfies_system():

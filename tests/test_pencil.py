@@ -22,14 +22,18 @@ from quadpencil import (
 from quadpencil.errors import DomainError
 from quadpencil.etale import AlgElement, all_square_roots
 from quadpencil.linalg import congruence, identity, mat_mul
-from quadpencil.polys import Poly, poly_from_ints
+from quadpencil.polys import Poly, is_squarefree, poly_from_ints
 
 from util import (
     frac_det,
     random_monic_separable,
     random_param,
+    reference_inverse,
     reference_invariant_form,
+    reference_mat_vec,
     reference_orbit_witness_search,
+    reference_pencil_to_param,
+    reference_stabilizer,
     unimodular,
 )
 
@@ -101,6 +105,126 @@ def test_invariant_form_matches_fraction_matrices():
         want = reference_invariant_form(pair)
         assert f.coeffs == want and hash(f.coeffs) == hash(want)
         assert all(type(c) is Fraction for c in f.coeffs)
+
+
+BIG_DENS = [1, 2, 3, 7, 10, 999_983]
+
+
+def big_den_symmetric(rng, n):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            M[i][j] = M[j][i] = Fraction(rng.randint(-30, 30), rng.choice(BIG_DENS))
+    return M
+
+
+def split_pencil(rng, n):
+    """A stable pencil whose g is a product of factors of degree 1 and 2, so
+    that the stabilizer has many idempotents, moved by a rational matrix."""
+    while True:
+        g = Poly([1])
+        while g.degree < n:
+            d = min(rng.choice((1, 1, 2)), n - g.degree)
+            g = g * Poly([rng.randint(-6, 6) for _ in range(d)] + [1])
+        if is_squarefree(g):
+            break
+    L = EtaleAlgebra(g)
+    while True:
+        alpha = L.element([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n)])
+        if alpha.is_unit:
+            break
+    s = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    f = BinaryForm.from_monic_part(s * s * alpha.norm(), g)
+    pair = param_to_pencil(f, OrbitParam(L, alpha, s * alpha.norm()))
+    while True:
+        U = [[Fraction(rng.randint(-3, 3), rng.choice(BIG_DENS[:5])) for _ in range(n)]
+             for _ in range(n)]
+        if frac_det(U) != 0:
+            return pair.transformed(U)
+
+
+def assert_matches_fraction_routes(pair, seed=0):
+    assert invariant_binary_form(pair).coeffs == reference_invariant_form(pair)
+    q, want = pencil_to_param(pair, seed), reference_pencil_to_param(pair, seed)
+    assert q == want and type(q.t) is Fraction
+    S, R = stabilizer_rational(pair), reference_stabilizer(pair)
+    assert (S.order, S.geometric_order) == (R.order, R.geometric_order)
+    assert S.elements == R.elements and S.generators == R.generators
+    assert all(type(x) is Fraction for M in S.elements + S.generators for row in M for x in row)
+
+
+def test_orbit_pipeline_matches_fraction_routes():
+    # integer rows over one denominator against Fraction matrices, n = 1..8
+    rng = random.Random(57)
+    for n in range(1, 9):
+        # with many factors, the Fraction reference stabilizer takes seconds at n >= 7
+        pairs = [split_pencil(rng, n)] if n <= 6 else []
+        while len(pairs) < 3:
+            pair = SymPair(big_den_symmetric(rng, n), big_den_symmetric(rng, n))
+            if invariant_binary_form(pair).is_stable:
+                pairs.append(pair)
+        for pair in pairs:
+            assert_matches_fraction_routes(pair)
+
+
+def test_orbit_pipeline_rejects_singular_A_like_fraction_route():
+    rng = random.Random(58)
+    for n in range(2, 6):
+        A, B = big_den_symmetric(rng, n), big_den_symmetric(rng, n)
+        for row in A:
+            row[-1] = Fraction(0)
+        A[-1] = [Fraction(0)] * n
+        pair = SymPair(A, B)
+        assert invariant_binary_form(pair).coeffs == reference_invariant_form(pair)
+        for fn, ref in ((pencil_to_param, reference_pencil_to_param),
+                        (stabilizer_rational, reference_stabilizer)):
+            with pytest.raises(DomainError) as got:
+                fn(pair)
+            with pytest.raises(DomainError) as want:
+                ref(pair)
+            assert str(got.value) == str(want.value) == "pencil is not stable: f0 = 0"
+
+
+def test_to_param_takes_random_tries_like_fraction_route():
+    # pencils on which no unit vector is cyclic for T = A^(-1) B: diagonal
+    # pencils, and direct sums of two pencils, moved by a signed permutation
+    rng = random.Random(59)
+    pairs = []
+    for n in (2, 3, 5):
+        ratios = rng.sample(range(-20, 21), n)
+        a = [Fraction(rng.randint(1, 9), rng.choice(BIG_DENS)) * rng.choice((1, -1))
+             for _ in range(n)]
+        pairs.append(SymPair([[a[i] * (i == j) for j in range(n)] for i in range(n)],
+                             [[a[i] * ratios[i] * (i == j) for j in range(n)] for i in range(n)]))
+    for n1, n2 in ((2, 2), (3, 3), (2, 4)):
+        while True:
+            P1 = param_to_pencil(*random_param(rng, n1))
+            P2 = param_to_pencil(*random_param(rng, n2))
+            n = n1 + n2
+            A = [[Fraction(0)] * n for _ in range(n)]
+            B = [[Fraction(0)] * n for _ in range(n)]
+            for Q, off in ((P1, 0), (P2, n1)):
+                for i in range(Q.n):
+                    for j in range(Q.n):
+                        A[off + i][off + j], B[off + i][off + j] = Q.A[i][j], Q.B[i][j]
+            perm = rng.sample(range(n), n)
+            U = [[Fraction(rng.choice((1, -1)) * (perm[i] == j)) for j in range(n)]
+                 for i in range(n)]
+            pair = SymPair(A, B).transformed(U)
+            if invariant_binary_form(pair).is_stable:
+                pairs.append(pair)
+                break
+    for pair in pairs:
+        n = pair.n
+        T = [reference_mat_vec(reference_inverse(pair.A), col) for col in zip(*pair.B)]
+        T = [list(row) for row in zip(*T)]
+        for k in range(n):
+            vs = [[Fraction(int(i == k)) for i in range(n)]]
+            for _ in range(n - 1):
+                vs.append(reference_mat_vec(T, vs[-1]))
+            assert frac_det(vs) == 0
+        for seed in (0, 5):
+            assert_matches_fraction_routes(pair, seed)
 
 
 def test_to_param_pinned():

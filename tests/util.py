@@ -36,8 +36,14 @@ congruence g M g^T, characteristic polynomial and conjugator uniqueness keep
 the Fraction routes that the integer kernels replaced: rational elimination
 steps, valuations of the squarefree parts, Fraction minors and products,
 Faddeev-LeVerrier over Q, and the nullspace of the full n^2-unknown system.
+The reference congruence, matrix-vector products, orbit parameter and
+stabilizer keep the Fraction matrices that the integer rows over one
+denominator replaced: U^T A U and A v entry by entry, T = A^(-1) B from the
+Fraction inverse with Fraction Krylov vectors, and each E_i(T) as a sum of
+Fraction powers of T.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -48,13 +54,14 @@ from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     random_param,
     unimodular,
 )
+from quadpencil.binforms import BinaryForm
 from quadpencil.errors import DomainError
-from quadpencil.etale import EtaleAlgebra
+from quadpencil.etale import EtaleAlgebra, euler_trace_solve
 from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
 from quadpencil.linalg import charpoly, hnf, mat_vec
 from quadpencil.orders import OrientedIdeal
-from quadpencil.pencil import OrbitParam
+from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
 from quadpencil.quadspace import diagonalize
 
@@ -763,3 +770,101 @@ def reference_conjugator_is_unique(T, Tp):
         rows.append([Fraction(int(c == i * n + n - 1)) for c in range(n * n)])
         rows.append([Fraction(int(c == (n - 1) * n + i)) for c in range(n * n)])
     return not reference_nullspace(rows)
+
+
+def reference_congruence(U, A):
+    """U^T A U on Fraction matrices."""
+    return _frac_mul([list(col) for col in zip(*U)], _frac_mul(A, U))
+
+
+def reference_mat_vec(A, v):
+    return [sum(a * x for a, x in zip(row, v)) for row in A]
+
+
+def reference_vec_mat(v, A):
+    return [sum(x * A[i][j] for i, x in enumerate(v)) for j in range(len(A[0]))]
+
+
+def _reference_stable_form(pair):
+    f = BinaryForm(reference_invariant_form(pair))
+    if f.f0 == 0:
+        raise DomainError("pencil is not stable: f0 = 0")
+    if f.disc() == 0:
+        raise DomainError("pencil is not stable: disc(f) = 0")
+    return f
+
+
+def reference_pencil_to_param(pair, seed=0):
+    """(alpha, t) from T = A^(-1) B as a Fraction matrix: the first cyclic
+    vector m among the unit vectors, then rounds of 8 random ones, the
+    moments <m, T^i m>_A, and t = 1 / det[m | Tm | ... | T^(n-1) m]."""
+    f = _reference_stable_form(pair)
+    g = f.monic_part()
+    L = EtaleAlgebra(g)
+    T = _frac_mul(reference_inverse(pair.A), pair.B)
+    assert reference_charpoly(T) == g
+    n = len(T)
+    rng = random.Random(seed)
+    tries = [[Fraction(int(i == k)) for i in range(n)] for k in range(n)]
+    krylov = None
+    while krylov is None:
+        for m in tries:
+            vs = [m]
+            for _ in range(n - 1):
+                vs.append(reference_mat_vec(T, vs[-1]))
+            dQ = frac_det(vs)
+            if dQ != 0:
+                krylov = vs
+                break
+        tries = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(8)]
+    Am = reference_mat_vec(pair.A, krylov[0])
+    moments = [sum(a * x for a, x in zip(Am, v)) for v in krylov]
+    alpha = reference_alg_inverse(euler_trace_solve(L, moments))
+    return OrbitParam(L, alpha, 1 / dQ)
+
+
+def reference_stabilizer(pair):
+    """The StabilizerGroup with each E_i(T) = sum c_k T^k on Fraction powers
+    of T = A^(-1) B, and the group laws checked on Fraction matrices."""
+    f = _reference_stable_form(pair)
+    n = pair.n
+    L = EtaleAlgebra(f.monic_part())
+    T = _frac_mul(reference_inverse(pair.A), pair.B)
+    E_mats = []
+    for e in L.idempotents():
+        out = [[Fraction(0)] * n for _ in range(n)]
+        P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for c in e.poly().coeffs:
+            out = [[out[i][j] + c * P[i][j] for j in range(n)] for i in range(n)]
+            P = _frac_mul(P, T)
+        E_mats.append(out)
+    degs = [gi.degree for gi in L.factors]
+    r = len(degs)
+
+    def combination(signs):
+        return [[sum(s * E[i][j] for s, E in zip(signs, E_mats)) for j in range(n)]
+                for i in range(n)]
+
+    elements = []
+    for signs in product([1, -1], repeat=r):
+        if sum(dg % 2 for s, dg in zip(signs, degs) if s < 0) % 2:
+            continue
+        M = combination(signs)
+        assert reference_congruence(M, pair.A) == pair.A
+        assert reference_congruence(M, pair.B) == pair.B
+        assert _frac_mul(M, M) == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert frac_det(M) == 1
+        elements.append(M)
+    odd = [i for i, dg in enumerate(degs) if dg % 2]
+    gens = []
+    for i in range(r):
+        if odd and i == odd[0]:
+            continue
+        signs = [1] * r
+        signs[i] = -1
+        if odd and degs[i] % 2:
+            signs[odd[0]] = -1
+        gens.append(combination(signs))
+    order = 2 ** (r - 1) if odd else 2**r
+    assert len(elements) == order
+    return StabilizerGroup(gens, order, 2 ** (n - 1), elements)
