@@ -6,7 +6,10 @@ returns, which avoids a gcd per Fraction operation. `mat_mul` and the
 eliminations clear denominators row by row; `det`, `solve`, `inverse` and
 `nullspace` share one fraction-free elimination loop, `_bareiss`.
 `congruence`, `mat_vec`, `vec_mat` and `charpoly` clear each operand once
-(`_clear`), and `congruence` and `charpoly` multiply with `_int_mul`.
+(`_clear`), and `congruence` and `charpoly` multiply with `_int_mul`; `det`
+takes a matrix of ints as it is. `hnf` inserts rows one at a time into an
+integer echelon basis by Euclid's algorithm on row pairs, then reduces above
+the pivots.
 """
 
 from fractions import Fraction
@@ -106,16 +109,20 @@ def _bareiss(M, ncols, jordan):
 def det(A):
     """Determinant by Bareiss elimination on integer rows.
 
-    Entries are ints or Fractions. Each row is scaled to integers by the lcm
-    of its denominators, 1 for a row of ints, and the integer determinant is
-    divided by the product of those scales; a caller that has cleared the
-    denominators of a whole matrix once passes its int entries.
+    Entries are ints or Fractions. A matrix of ints is eliminated as it is;
+    otherwise each row is scaled to integers by the lcm of its denominators
+    and the integer determinant is divided by the product of those scales.
+    A caller that has cleared the denominators of a whole matrix once
+    passes its int entries.
     """
     scale = 1
-    M = []
-    for d, row in _int_rows(A):
-        scale *= d
-        M.append(row)
+    if all(type(x) is int for row in A for x in row):
+        M = [list(row) for row in A]
+    else:
+        M = []
+        for d, row in _int_rows(A):
+            scale *= d
+            M.append(row)
     pivots, last = _bareiss(M, len(M), False)
     return Fraction(last, scale) if len(pivots) == len(M) else Fraction(0)
 
@@ -202,34 +209,36 @@ def hnf(rows):
 
     Returns the unique echelon basis of the row lattice: pivots positive,
     entries above each pivot reduced into [0, pivot). Zero rows are dropped.
+    Each row is inserted into an echelon basis kept by pivot column: where
+    it meets a basis row's pivot, Euclid's algorithm on the two rows (each
+    step a unimodular row operation, with remainders in [0, pivot)) leaves
+    the gcd as the pivot and clears the row there, often in one step. Then
+    each basis row, from the bottom up, is reduced by the finished rows
+    below it.
     """
-    A = [[int(x) for x in row] for row in rows]
-    if not A:
-        return []
-    m, n = len(A), len(A[0])
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][c] != 0]
-            if not nz:
+    basis = {}
+    for row in rows:
+        v = [int(x) for x in row]
+        for c in range(len(v)):
+            if not v[c]:
+                continue
+            b = basis.get(c)
+            if b is None:
+                basis[c] = v if v[c] > 0 else [-x for x in v]
                 break
-            i0 = min(nz, key=lambda i: abs(A[i][c]))
-            A[r], A[i0] = A[i0], A[r]
-            if all(A[i][c] == 0 for i in range(r + 1, m)):
-                break
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-        if A[r][c] if r < m else 0:
-            if A[r][c] < 0:
-                A[r] = [-a for a in A[r]]
-            for i in range(r):
-                q = A[i][c] // A[r][c]
-                if q:
-                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
-            r += 1
-            if r == m:
-                break
-    out = [row for row in A[:r]]
-    return out
+            while v[c]:
+                q = v[c] // b[c]
+                v = [y - q * x for x, y in zip(b, v)]
+                if v[c]:
+                    b, v = v, b
+            basis[c] = b
+    cols = sorted(basis)
+    H = [basis[c] for c in cols]
+    for i in range(len(H) - 2, -1, -1):
+        row = H[i]
+        for c, below in zip(cols[i + 1:], H[i + 1:]):
+            q = row[c] // below[c]
+            if q:
+                row = [a - q * b for a, b in zip(row, below)]
+        H[i] = row
+    return H

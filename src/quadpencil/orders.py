@@ -13,7 +13,15 @@ closed form (Nakagawa, Invent. Math. 97, 1989; Wood, J. London Math. Soc. 83,
 The basis rows are triangular with diagonal f0, so coordinates come by
 back-substitution. Ideals are stored with a global denominator and an integer
 HNF basis in R_f coordinates, plus an orientation sign. Products of ideals and
-scalars multiply those integer rows through the table, then take the HNF.
+scalars multiply those integer rows through the table, one dot product per
+coordinate over the table columns precomputed with the order, then take the
+HNF. An HNF basis is upper triangular with a positive diagonal, so membership
+is integer forward substitution; other bases fall back to a solve.
+The module pair of (I, alpha) reads off the same table products: the
+zeta_(n-2) and zeta_(n-1) coordinates of b_i b_j / alpha are its coordinates
+on the last two vectors of the natural basis of I_f(n-3), whose other vectors
+span the same space as zeta_0, ..., zeta_(n-3), and (I, alpha) passes the
+containment test when all of those natural coordinates are integers.
 """
 
 from fractions import Fraction
@@ -55,6 +63,8 @@ class Order:
                 c[0] -= a[n] * c[n]  # zeta_n = -f_n
                 T[i][j] = T[j][i] = tuple(c[:n])
         self.table = T
+        # cols[k][j][i] = coordinate k of zeta_i zeta_j
+        self.cols = [[tuple(T[i][j][k] for i in range(n)) for j in range(n)] for k in range(n)]
 
     @property
     def n(self):
@@ -115,23 +125,24 @@ class OrientedIdeal:
     def norm(self) -> Fraction:
         return self.eps * Fraction(det(self.mat), Fraction(self.den) ** self.order.n)
 
-    def basis_elements(self):
-        return [
-            self.order.from_basis([Fraction(x, self.den) for x in row])
-            for row in self.mat
-        ]
-
-    def oriented_basis(self):
-        """Basis whose wedge equals norm * (top wedge of the R_f basis)."""
-        elems = self.basis_elements()
-        if self.eps < 0:
-            elems[0] = -elems[0]
-        return elems
-
     def contains(self, elem) -> bool:
+        """Is elem in the lattice: y mat = den x integral for its zeta
+        coordinates x? When mat is upper triangular with a positive diagonal,
+        as every HNF basis of full rank is, y comes by integer forward
+        substitution and the first inexact division says no."""
         x = self.order.to_basis(elem)
-        y = solve(transpose(self.mat), [self.den * c for c in x])
-        return all(c.denominator == 1 for c in y)
+        M = self.mat
+        if not all(row[i] > 0 and not any(row[:i]) for i, row in enumerate(M)):
+            y = solve(transpose(M), [self.den * c for c in x])
+            return all(c.denominator == 1 for c in y)
+        d, (v,) = _clear([x])
+        y = []
+        for c, col in zip(v, zip(*M)):
+            q, r = divmod(self.den * c - d * sum(map(mul, y, col)), d * col[len(y)])
+            if r:
+                return False
+            y.append(q)
+        return True
 
     def __eq__(self, other):
         if isinstance(other, OrientedIdeal):
@@ -147,19 +158,13 @@ class OrientedIdeal:
         return "OrientedIdeal(den=%d, mat=%r, eps=%d)" % (self.den, self.mat, self.eps)
 
 
-def _comb(c, rows):
-    """The integer combination sum c_i rows_i, skipping the zero c_i."""
-    terms = [(x, r) for x, r in zip(c, rows) if x]
-    return [sum(x * r[k] for x, r in terms) for k in range(len(rows[0]))]
-
-
 def _products(order, A, B):
-    """Zeta coordinates of a*b for integer coordinate rows a in A, b in B."""
-    by_j = list(zip(*order.table))  # by_j[j][i] = T[i][j], zeta_i zeta_j
+    """Zeta coordinates of a*b for integer coordinate rows a in A, b in B:
+    M[k][j], coordinate k of a zeta_j, is a dotted with a table column."""
     out = []
     for a in A:
-        Ma = [_comb(a, col) for col in by_j]  # row j: a zeta_j
-        out.extend(_comb(b, Ma) for b in B)
+        M = [[sum(map(mul, a, col)) for col in cols] for cols in order.cols]
+        out.extend([sum(map(mul, b, row)) for row in M] for b in B)
     return out
 
 
@@ -220,45 +225,59 @@ def module_stable(I: OrientedIdeal) -> bool:
     return ideal_mul(unit_ideal(I.order), I).mat == hnf(I.mat)
 
 
-def ideal_pair_valid(order: Order, I: OrientedIdeal, alpha):
-    """(ok, message): I^2 inside alpha*I_f(n-3) and N(I)^2 = N(alpha)/f0^(n-3)."""
+def _module_pair(order: Order, I: OrientedIdeal, alpha):
+    """(message, A, B): message is None and (A, B) the pair when (I, alpha)
+    is valid; otherwise message names the first condition that fails.
+
+    b_i b_j lies in alpha*I_f(n-3) exactly when the coordinates of
+    b_i b_j / alpha in the natural basis of I_f(n-3) are integers. Those are
+    table products over the rows of I.mat (b_0 negated when eps = -1, which
+    orients the basis) and the zeta row of 1/alpha: their zeta_(n-2) and
+    zeta_(n-1) coordinates, and the theta^m coordinates sum_(k<=n-3) c_k Z[k][m].
+    """
     n = order.n
     if n < 3:
         raise DomainError("module route needs n >= 3")
+    if I.order != order:
+        raise DomainError("ideal of a different order")
     if not alpha.is_unit:
         raise DomainError("alpha must be invertible")
-    target = scalar_ideal(alpha, power_ideal(order, n - 3))
-    bs = I.basis_elements()
-    for i in range(n):
-        for j in range(i, n):
-            if not target.contains(bs[i] * bs[j]):
-                return False, "product of basis elements %d and %d escapes alpha*I_f(%d)" % (
-                    i, j, n - 3)
+    da, (ainv,) = _clear([order.to_basis(alpha.inverse())])
+    den = I.den * I.den * da
+    rows = [[-x for x in I.mat[0]], *I.mat[1:]] if I.eps < 0 else I.mat
+    bb = [p for i in range(n) for p in _products(order, [rows[i]], rows[i:])]
+    Zcols = list(zip(*order.Z[:n - 2]))[:n - 2]
+    A = [[None] * n for _ in range(n)]
+    B = [[None] * n for _ in range(n)]
+    ij = ((i, j) for i in range(n) for j in range(i, n))
+    for (i, j), c in zip(ij, _products(order, [ainv], bb)):
+        nat = [sum(map(mul, c, col)) for col in Zcols] + c[n - 2:]
+        if any(x % den for x in nat):
+            return ("product of basis elements %d and %d escapes alpha*I_f(%d)" % (i, j, n - 3),
+                    None, None)
+        A[i][j] = A[j][i] = nat[n - 1] // den
+        B[i][j] = B[j][i] = nat[n - 2] // den
     if I.norm() ** 2 != alpha.norm() / order.f.f0 ** (n - 3):
-        return False, "norm condition N(I)^2 = N(alpha)/f0^(n-3) fails"
-    return True, None
+        return "norm condition N(I)^2 = N(alpha)/f0^(n-3) fails", None, None
+    return None, A, B
+
+
+def ideal_pair_valid(order: Order, I: OrientedIdeal, alpha):
+    """(ok, message): I^2 inside alpha*I_f(n-3) and N(I)^2 = N(alpha)/f0^(n-3)."""
+    msg = _module_pair(order, I, alpha)[0]
+    return msg is None, msg
 
 
 def ideal_pair_to_matrices(order: Order, I: OrientedIdeal, alpha) -> SymPair:
     """Integral symmetric pair with invariant form f from a valid (I, alpha).
 
     Entries are the zeta_(n-1) and zeta_(n-2) coefficients of b_i b_j / alpha
-    expanded in the natural basis of I_f(n-3), for the oriented basis b of I.
+    expanded in the natural basis of I_f(n-3), for the oriented basis b of I:
+    its rows over den, b_0 negated when eps = -1.
     """
-    ok, msg = ideal_pair_valid(order, I, alpha)
-    if not ok:
+    msg, A, B = _module_pair(order, I, alpha)
+    if msg is not None:
         raise DomainError(msg)
-    n = order.n
-    bs = I.oriented_basis()
-    ainv = alpha.inverse()
-    A = [[None] * n for _ in range(n)]
-    B = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            coords = order.natural_coords((bs[i] * bs[j] * ainv).coords, n - 3)
-            assert all(c.denominator == 1 for c in coords)
-            A[i][j] = A[j][i] = coords[n - 1]
-            B[i][j] = B[j][i] = coords[n - 2]
     pair = SymPair(A, B)
     assert invariant_binary_form(pair) == order.f
     return pair

@@ -32,9 +32,11 @@ from util import (
     random_integral_form,
     reference_ideal_mul,
     reference_inverse_different_check,
+    reference_contains,
     reference_module_stable,
     reference_order_disc,
     reference_pair_matrices,
+    reference_pair_valid,
     reference_power_ideal,
     reference_scalar_ideal,
     unimodular,
@@ -429,3 +431,111 @@ def test_module_pair_matches_element_products():
             assert (pair.A, pair.B) == reference_pair_matrices(R, I, c * c)
             signs.add(I.eps)
     assert signs == {1, -1}
+
+
+def test_module_pair_on_rebased_basis_with_negative_orientation():
+    # a unimodular change of basis of the twisted canonical ideal, with
+    # eps = -1, so the rows are no HNF and b_0 is negated
+    rng = random.Random(79)
+    for f, R in CLOSED_FORM:
+        n = f.n
+        if n % 2 == 0:
+            continue
+        O = form_order(f)
+        I0 = ideal_pow(power_ideal(O, 1), (n - 3) // 2)
+        c = O.algebra.element([rng.randint(-2, 2) for _ in range(n)])
+        c = c if c.norm() != 0 else O.algebra.one
+        I = scalar_ideal(c, I0)
+        U = unimodular(rng, n)
+        J = OrientedIdeal(O, I.den, [[int(x) for x in row] for row in mat_mul(U, I.mat)], -1)
+        pair = ideal_pair_to_matrices(O, J, c * c)
+        assert (pair.A, pair.B) == reference_pair_matrices(R, J, c * c)
+
+
+def test_module_pair_validity_matches_ideal_route():
+    # random lattices, twists of the canonical ideal, and R_f with alpha = 1/m
+    # (products inside, norm condition fails), against membership in the
+    # reference ideal alpha*I_f(n-3)
+    rng = random.Random(80)
+    seen = set()
+    for f, R in CLOSED_FORM[:15]:
+        n = f.n
+        if n % 2 == 0:
+            continue
+        O = form_order(f)
+        I0 = ideal_pow(power_ideal(O, 1), (n - 3) // 2)
+        cases = [(unit_ideal(O), O.algebra.from_rational(Fraction(1, rng.randint(2, 3))))]
+        for _ in range(3):
+            c = O.algebra.element([rng.randint(-2, 2) for _ in range(n)])
+            if c.norm() != 0:
+                cases.append((scalar_ideal(c, I0), c * c))
+        for _ in range(3):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if frac_det(rows) != 0:
+                alpha = O.algebra.element([rng.randint(-2, 2) for _ in range(n)])
+                alpha = alpha if alpha.norm() != 0 else O.algebra.one
+                I = OrientedIdeal(O, rng.randint(1, 3), rows, rng.choice((1, -1)))
+                cases.append((I, alpha))
+        for I, alpha in cases:
+            ok, msg = ideal_pair_valid(O, I, alpha)
+            want_ok, want = reference_pair_valid(R, I, alpha)
+            assert ok == want_ok and (ok or want in msg), (I, alpha, msg, want)
+            seen.add(want)
+    assert seen == {None, "escapes", "norm condition"}
+
+
+def test_module_pair_rejects_ideal_of_another_order():
+    # same algebra Q[x]/(x^3 + 2), different orders: a DomainError, also
+    # under python -O, never a pair read off the wrong table
+    O = form_order(BinaryForm([1, 0, 0, 2]))
+    other = form_order(BinaryForm([2, 0, 0, 4]))
+    assert other.algebra == O.algebra
+    for I in (unit_ideal(other), power_ideal(other, 1)):
+        with pytest.raises(DomainError, match="different order"):
+            ideal_pair_valid(O, I, O.algebra.one)
+        with pytest.raises(DomainError, match="different order"):
+            ideal_pair_to_matrices(O, I, O.algebra.one)
+
+
+def _membership_ideals(rng, O):
+    """HNF ideals and user-built ones: a rebased copy, random rows, and
+    upper triangular rows with unreduced entries, with and without a
+    negative diagonal entry."""
+    n = O.n
+    out = _ideals(rng, O)
+    for _ in range(3):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if frac_det(rows) != 0:
+            out.append(OrientedIdeal(O, rng.randint(1, 4), rows, 1))
+    tri = [[0] * i + [rng.randint(1, 4)] + [rng.randint(-9, 9) for _ in range(n - i - 1)]
+           for i in range(n)]
+    out.append(OrientedIdeal(O, rng.randint(1, 4), tri, 1))
+    neg = [row[:] for row in tri]
+    neg[-1][-1] = -neg[-1][-1]
+    out.append(OrientedIdeal(O, rng.randint(1, 4), neg, 1))
+    return out
+
+
+def test_contains_matches_fraction_solve():
+    # members, members moved by e_k / den (den x integral, y maybe not),
+    # and members moved by e_k / (p den) (den x not integral)
+    rng = random.Random(81)
+    seen = set()
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        for I in _membership_ideals(rng, O):
+            assert I.contains(O.algebra.zero)
+            for kind in (0, 1, 1, 2) * 2:
+                c = [rng.randint(-3, 3) for _ in range(n)]
+                x = [Fraction(sum(a * row[k] for a, row in zip(c, I.mat)), I.den)
+                     for k in range(n)]
+                if kind:
+                    p = rng.choice((2, 3)) if kind == 2 else 1
+                    x[rng.randrange(n)] += Fraction(1, p * I.den)
+                e = O.from_basis(x)
+                got = I.contains(e)
+                assert got == reference_contains(I, e), (I, x)
+                assert got or kind
+                seen.add((kind, got))
+    assert seen == {(0, True), (1, True), (1, False), (2, False)}

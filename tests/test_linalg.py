@@ -27,6 +27,7 @@ from util import (
     random_invertible,
     reference_charpoly,
     reference_congruence,
+    reference_hnf,
     reference_inverse,
     reference_mat_vec,
     reference_nullspace,
@@ -380,3 +381,37 @@ def test_hnf_rank_deficient():
         assert all(in_row_lattice(H, row) for row in A)
     assert hnf([[0, 0], [0, 0]]) == []
     assert hnf([[2, 4], [1, 3]]) == [[1, 1], [0, 2]]
+
+
+def test_hnf_matches_min_abs_reference():
+    # tall, wide, square, rank-deficient and zero-row matrices, with rows
+    # that share no pivot divisibility (so the extended-gcd step runs)
+    rng = random.Random(9)
+    for trial in range(400):
+        m, n = rng.randint(0, 9), rng.randint(1, 7)
+        kind = trial % 4
+        if kind == 0:
+            A = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        elif kind == 1 and m and n > 1:
+            A = [[int(x) for x in row] for row in low_rank(rng, m, n, rng.randint(1, n - 1))]
+        elif kind == 2:
+            A = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        else:
+            A = [[0] * n for _ in range(m)]
+            for row in A[:rng.randint(0, m)]:
+                row[:] = [rng.randint(-6, 6) * rng.choice((1, 12, 35)) for _ in range(n)]
+            rng.shuffle(A)
+        assert hnf(A) == reference_hnf(A), A
+    assert hnf([]) == reference_hnf([]) == []
+    A = [[6, 1], [4, 3], [10, 0]]
+    assert hnf(A) == reference_hnf(A) == [[2, 0], [0, 1]]
+
+
+def test_det_of_ints_leaves_input_alone():
+    rng = random.Random(10)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        copy = [row[:] for row in A]
+        assert det(A) == det([[Fraction(x) for x in row] for row in A]) == frac_det(A)
+        assert A == copy

@@ -7,8 +7,14 @@ The oracles here deliberately avoid the package's own routines: determinants
 are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
 The reference ideal products keep the algebra-element route (products of
-basis elements mapped back by `to_basis`) that the integer-table products in
-`orders` replaced, and the reference order keeps the construction of R_f
+basis elements, each a sum of the zeta_k as algebra elements, mapped back by
+`to_basis`) that the integer-table products in `orders` replaced, and put
+the rows in HNF by the min-abs loop that the incremental insertion in
+`linalg.hnf` replaced. The reference membership keeps the Fraction solve
+that integer forward substitution replaced, and the reference validity of a
+module pair tests each b_i b_j for membership in the ideal alpha*I_f(n-3),
+where `orders` reads the integrality of natural coordinates off the table.
+The reference order keeps the construction of R_f
 from powers of theta, with its table, coordinates, discriminant and
 inverse-different check by algebra products and the Fraction inverse of the
 basis matrix, that the closed-form integer table and back-substitution
@@ -59,7 +65,7 @@ from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra, euler_trace_solve
 from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
-from quadpencil.linalg import charpoly, hnf, mat_vec
+from quadpencil.linalg import charpoly, mat_vec
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
@@ -132,6 +138,50 @@ def random_invertible(rng, n, lo=-3, hi=3):
             return M
 
 
+def reference_hnf(rows):
+    """Row HNF by the min-abs loop that the incremental insertion in `linalg`
+    replaced: per column, bring the entry of least absolute value up as the
+    pivot and reduce the rows below by it until they are zero, then reduce
+    the rows above into [0, pivot)."""
+    A = [[int(x) for x in row] for row in rows]
+    if not A:
+        return []
+    m, n = len(A), len(A[0])
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, m) if A[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(A[i][c]))
+            A[r], A[i0] = A[i0], A[r]
+            if all(A[i][c] == 0 for i in range(r + 1, m)):
+                break
+            for i in range(r + 1, m):
+                if A[i][c] != 0:
+                    q = A[i][c] // A[r][c]
+                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+        if A[r][c] if r < m else 0:
+            if A[r][c] < 0:
+                A[r] = [-a for a in A[r]]
+            for i in range(r):
+                q = A[i][c] // A[r][c]
+                if q:
+                    A[i] = [a - q * b for a, b in zip(A[i], A[r])]
+            r += 1
+            if r == m:
+                break
+    return A[:r]
+
+
+def ideal_basis(I):
+    """The basis of I as algebra elements: each row over den, summed over
+    the zeta_k of the order as algebra elements."""
+    zero = I.order.algebra.zero
+    return [sum((Fraction(x, I.den) * z for x, z in zip(row, I.order.basis)), zero)
+            for row in I.mat]
+
+
 def _reference_ideal(order, elems, eps):
     """The ideal with generators elems: zeta coordinates by to_basis, cleared
     of denominators over their lcm, then put in HNF."""
@@ -140,14 +190,14 @@ def _reference_ideal(order, elems, eps):
 
 def _reference_ideal_rows(order, rows, eps):
     den = lcm(*(c.denominator for row in rows for c in row))
-    H = hnf([[int(c * den) for c in row] for row in rows])
+    H = reference_hnf([[int(c * den) for c in row] for row in rows])
     assert len(H) == order.n
     return OrientedIdeal(order, den, H, eps)
 
 
 def reference_ideal_mul(I, J):
     """I*J through algebra elements: the n^2 products of the two bases."""
-    elems = [bi * bj for bi in I.basis_elements() for bj in J.basis_elements()]
+    elems = [bi * bj for bi in ideal_basis(I) for bj in ideal_basis(J)]
     return _reference_ideal(I.order, elems, I.eps * J.eps)
 
 
@@ -156,13 +206,35 @@ def reference_scalar_ideal(c, I):
     nc = c.norm()
     if nc == 0:
         raise DomainError("scalar must be invertible")
-    elems = [c * b for b in I.basis_elements()]
+    elems = [c * b for b in ideal_basis(I)]
     return _reference_ideal(I.order, elems, I.eps * (1 if nc > 0 else -1))
 
 
 def reference_module_stable(I):
     """R_f * I = I, by membership of every product zeta_i * b in I."""
-    return all(I.contains(z * b) for z in I.order.basis for b in I.basis_elements())
+    return all(reference_contains(I, z * b) for z in I.order.basis for b in ideal_basis(I))
+
+
+def reference_contains(I, elem):
+    """Membership by the Fraction Gauss-Jordan solve of mat^T y = den x."""
+    x = I.order.to_basis(elem)
+    y = reference_solve([list(col) for col in zip(*I.mat)], [I.den * c for c in x])
+    return all(c.denominator == 1 for c in y)
+
+
+def reference_pair_valid(R, I, alpha):
+    """(ok, failed condition) of ideal_pair_valid through ideals: alpha*I_f(n-3)
+    as the reference scalar ideal of the reference power ideal, each b_i b_j
+    tested by `reference_contains`, and N(I) from frac_det."""
+    n = R.f.n
+    target = reference_scalar_ideal(alpha, reference_power_ideal(I.order, R, n - 3))
+    bs = ideal_basis(I)
+    if not all(reference_contains(target, bi * bj) for bi in bs for bj in bs):
+        return False, "escapes"
+    norm = I.eps * frac_det(I.mat) / Fraction(I.den) ** n
+    if norm ** 2 != alpha.norm() / Fraction(R.f.f0) ** (n - 3):
+        return False, "norm condition"
+    return True, None
 
 
 class ReferenceOrder:
