@@ -7,34 +7,36 @@ the pencil module. Traces are dot products with the power sums
 p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
 one integer solve with the multiplication matrix M_a.
 
-Square roots are decided on each field component K = Q[x]/(g_i) of degree d.
-Euler's criterion at a few odd primes p where a is a unit and g_i stays
-squarefree certifies a non-square. At an inert p (g_i irreducible mod p) a
-square root in F_(p^d) is lifted p-adically by Newton's iteration, rationally
-reconstructed, and returned only when its square is a exactly. Trager's norm
-method decides when no inert prime turns up or no lift verifies.
+Square roots are decided on each field component K = Q[x]/(g_i) of degree d,
+by one certified route. Euler's criterion at a few odd primes p where a is a
+unit and g_i stays squarefree certifies a non-square. Otherwise square roots
+in the residue fields at one such p are joined by CRT and lifted p-adically by
+Newton's iteration. A scaled root c r lies in Z[beta'] for an integral
+generator beta' and an explicit c, and an exact integer bound H on its
+coordinates comes from the trace form; once p^k > 2H, the lift either gives
+c r as a symmetric residue whose square is c^2 a, or certifies that a is not
+a square (Couveignes, LNM 1554, 1993; Cohen, GTM 138, 4.5).
 """
 
+import random
 from fractions import Fraction
-from itertools import islice
-from math import gcd, isqrt
+from itertools import chain, product
+from math import isqrt
 from operator import mul
 
 from .errors import DomainError
-from .factor import _gf_ddf, factor_poly, gf_divmod, gf_from_int, gf_gcd, gf_gcdex
+from .factor import _gf_ddf, _gf_split, factor_poly, gf_divmod, gf_from_int, gf_gcd, gf_gcdex
 from .factor import gf_is_squarefree, gf_mul, gf_pow_mod, gf_sub
 from .intutil import is_square_rational, next_prime, rational_sqrt
+from .linalg import _bareiss
 from .linalg import charpoly as mat_charpoly
 from .linalg import det as mat_det  # noqa: F401  (perfbench's tests trace this alias)
 from .linalg import solve as mat_solve
-from .polys import Poly, X, _make, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
+from .polys import Poly, X, _make, is_squarefree, poly_gcdex, resultant
 
 # square roots in a component field (_component_sqrt)
 _SYMBOL_PRIMES = 2  # good primes whose residue symbols are taken before a lift
-_MORE_SYMBOL_PRIMES = 10  # further good primes whose symbols come before the norm route
 _INERT_PRIMES = 40  # good primes walked for an inert one
-_LIFT_CAP_BITS = 2048  # the lift stops once p^k has this many bits
-_SHIFTS = [0] + [s for k in range(1, 10) for s in (k, -k)]  # the norm route's shifts, in order
 
 
 class EtaleAlgebra:
@@ -74,20 +76,12 @@ class EtaleAlgebra:
 
     @property
     def power_sums(self):
-        """p_k = Tr(beta^k) for k < 3n - 1, enough for Tr(beta^k a), k < 2n.
-
-        Newton's identities for monic g = x^n + c_(n-1) x^(n-1) + ... + c_0:
-        p_k = -k c_(n-k) [k <= n] - sum_(i=1)^(min(k-1, n)) c_(n-i) p_(k-i).
-        """
+        """p_k = Tr(beta^k) for k < 3n - 1, enough for Tr(beta^k a), k < 2n:
+        Tr(beta'^k) / e^k for beta' = e beta, e = g.den (_power_sums)."""
         if self._power_sums is None:
-            n, c = self.n, self.g.coeffs
-            p = [Fraction(n)]
-            for k in range(1, 3 * n - 1):
-                acc = k * c[n - k] if k <= n else Fraction(0)
-                for i in range(1, min(k - 1, n) + 1):
-                    acc += c[n - i] * p[k - i]
-                p.append(-acc)
-            self._power_sums = p
+            e = self.g.den
+            sums = _power_sums(_integral(self.g), 3 * self.n - 1)
+            self._power_sums = [Fraction(x, e**k) for k, x in enumerate(sums)]
         return self._power_sums
 
     def element(self, coords):
@@ -370,72 +364,99 @@ def _gf_sqrt(a, g, p, k):
     return x
 
 
-def _rational_reconstruction(c, m):
-    """The u / v = c mod m with |u|, v <= sqrt(m / 2), or None."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, c, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+def _integral(g: Poly):
+    """The integer coefficients of the monic g_e(x) = e^d g(x / e), e = g.den,
+    whose root is beta' = e beta."""
+    d, e = g.degree, g.den
+    return [e ** (d - 1 - i) * x for i, x in enumerate(g.num[:d])] + [1]
 
 
-def _lift_sqrt(Li: EtaleAlgebra, a, p, y):
-    """r with r * r == a, from y = a^(-1/2) mod p, or None past _LIFT_CAP_BITS.
+def _power_sums(G, count):
+    """Tr(beta^k) for k < count, beta a root of the monic integer G (low first).
 
-    Each Newton step y <- y (3 - a y^2) / 2 doubles the precision of y; then
-    the coordinates of r = a y are rationally reconstructed and checked.
+    Newton's identities for G = x^n + c_(n-1) x^(n-1) + ... + c_0:
+    p_k = -k c_(n-k) [k <= n] - sum_(i=1)^(min(k-1, n)) c_(n-i) p_(k-i).
     """
-    g, A, m = Li.g, a.poly(), p
-    while m.bit_length() < _LIFT_CAP_BITS:
-        m *= m
-        G = _reduce(g, m)
+    n = len(G) - 1
+    p = [n]
+    for k in range(1, count):
+        acc = k * G[n - k] if k <= n else 0
+        p.append(-acc - sum(G[n - i] * p[k - i] for i in range(1, min(k - 1, n) + 1)))
+    return p
+
+
+def _gram_inverse(ge):
+    """(rows, D) with rows = D G^-1 for the trace Gram matrix
+    G = (Tr(beta'^(i+j))) of the root beta' of the monic integral ge, from
+    one integer elimination; D = +-det G = +-disc(ge)."""
+    d = ge.degree
+    ps = _power_sums(ge.num, 2 * d - 1)
+    M = [[*ps[i:i + d], *(int(i == j) for j in range(d))] for i in range(d)]
+    _, D = _bareiss(M, d, True)  # M becomes [D I | D G^-1]
+    return [row[d:] for row in M], D
+
+
+def _height(ge, c, a1, rows, D):
+    """An integer H >= |w_j| for the coordinates of w = c r, for every r with
+    r^2 = a, in the basis of powers of the root beta' of the monic integral
+    ge; (rows, D) from _gram_inverse.
+
+    By Cauchy's bound every |sigma(beta')| <= B = 1 + max |ge_i|, which bounds
+    |sigma(c)| and |sigma(a)|; as |sigma(w)|^2 = |sigma(c)|^2 |sigma(a)|, each
+    trace T_i = Tr(w beta'^i) = sum_sigma sigma(w) sigma(beta')^i is at most
+    d |sigma(c)| sqrt|sigma(a)| B^i, and w = G^-1 T.
+    """
+    d = ge.degree
+    B = 1 + max(map(abs, ge.num[:d]))
+    size = lambda P: sum(abs(x) * B**j for j, x in enumerate(P.num))  # >= P.den |sigma(P)|
+    T = [d * size(c) * (isqrt(size(a1) // a1.den) + 1) * B**i for i in range(d)]
+    return max(-(-sum(abs(x) * t for x, t in zip(row, T)) // abs(D)) for row in rows)
+
+
+def _lift_sqrt(p, y, ge, a1, c, target, H):
+    """The w = c r with r^2 = a lifted from y = a^(-1/2) mod p, or None once
+    p^k > 2H.
+
+    Each Newton step y <- y (3 - a y^2) / 2 doubles the precision of y; after
+    each, the symmetric residue z of c a y is accepted when z^2 = c^2 a = target.
+    """
+    m = p
+    while True:
+        G, am = _reduce(ge, m), _reduce(a1, m)
         mulmod = lambda f, h: gf_divmod(gf_mul(f, h, m), G, m)[1]
-        am = _reduce(A, m)
-        y = [c * (m + 1) // 2 % m for c in mulmod(y, gf_sub([3], mulmod(am, mulmod(y, y)), m))]
-        r = mulmod(am, y)
-        cs = [_rational_reconstruction(c, m) for c in r + [0] * (Li.n - len(r))]
-        if None not in cs:
-            root = Li.element(cs)
-            if root * root == a:
-                return root
-    return None
-
-
-def _norm_route_root(Li: EtaleAlgebra, r, p):
-    """r or -r, whichever _trager_sqrt returns for a = r^2, p a good prime.
-
-    There N_s = chi_u chi_v for u = s beta + r and v = s beta - r (at s = 0,
-    chi_v(z) = (-1)^d chi_u(-z)), and at the first s where N_s is squarefree
-    the first factor, the smaller coefficient tuple, gives r if it is chi_u.
-    """
-    for s in _SHIFTS:
-        fu = (s * Li.beta + r).charpoly()
-        if s:
-            fv = (s * Li.beta - r).charpoly()
-        else:
-            fv = Poly([-c if (Li.n - k) % 2 else c for k, c in enumerate(fu.coeffs)])
-        N = fu * fv
-        if gf_is_squarefree(_reduce(N, p), p) or is_squarefree(N):
-            return r if fu.coeffs < fv.coeffs else -r
-    raise AssertionError("no squarefree norm shift found")
+        if m > p:
+            y = [x * (m + 1) // 2 % m for x in mulmod(y, gf_sub([3], mulmod(am, mulmod(y, y)), m))]
+        z = Poly([x - m if 2 * x > m else x for x in mulmod(_reduce(c, m), mulmod(am, y))])
+        if (z * z) % ge == target:
+            return z
+        if m > 2 * H:
+            return None
+        m *= m
 
 
 def _component_sqrt(Li: EtaleAlgebra, a):
-    """A root of z^2 = a in the field Li, or None.
+    """A root of z^2 = a in the field Li, or None; either root when a is a square.
 
-    Degree 1 is a rational square root. For d >= 2, a is a unit at every
-    prime above a good prime p, so a failed Euler criterion modulo a part of
-    g mod p (a residue field) certifies a non-square: it is tested at the
-    first _SYMBOL_PRIMES good primes and at the first inert p (g irreducible
-    mod p), where Tonelli-Shanks also gives a^(-1/2) in F_(p^d) to lift. A
-    lifted r is returned only if r * r == a; a field has only the roots +-r,
-    and _norm_route_root picks the one Trager's norm route gives. With no
-    inert prime among the first _INERT_PRIMES good primes (no d-cycle in the
-    Galois group, as for x^4 - 10x^2 + 1) or no verified lift, symbols at
-    _MORE_SYMBOL_PRIMES further good primes come first, then _trager_sqrt.
+    Degree 1 is a rational square root. For d >= 2 the work is in the basis of
+    powers of beta' = e beta, e = g.den, a root of the monic integral
+    g_e(x) = e^d g(x / e). With delta the lcm of the denominators of a in that
+    basis, delta r is integral when r^2 = a, and so c r is in Z[beta'] for
+    c = delta g_e'(beta'), as the ring of integers lies in g_e'(beta')^-1 Z[beta'].
+    _height bounds its coordinates by an integer H.
+
+    At a good prime p, a is a unit at every prime above p, so a non-square in
+    some residue field (Euler's criterion) certifies a non-square: it is tested
+    at the first _SYMBOL_PRIMES good primes. The lift prime is the first inert
+    one (g_e irreducible mod p) among the first _INERT_PRIMES good primes, or,
+    when there is none (no d-cycle in the Galois group, as for
+    x^4 - 10x^2 + 1), the walked prime with the fewest residue fields, each
+    of which needs a non-square x + k for Tonelli-Shanks; if none qualifies,
+    the walk goes on, and by Weil's bound every p > (d - 1)^2 does.
+    Tonelli-Shanks gives a square root in each residue field; their inverses,
+    joined by CRT with signs fixed in the first field, are lifted by
+    _lift_sqrt. Past p^k > 2H, the symmetric residue of c r is c r itself for
+    one of the 2^(k-1) sign patterns of k fields, so when none verifies, a is
+    certified not a square.
     """
     d = Li.n
     if d == 1:
@@ -443,73 +464,49 @@ def _component_sqrt(Li: EtaleAlgebra, a):
         if is_square_rational(val):
             return Li.element([rational_sqrt(val)])
         return None
-    primes, y = _good_primes(Li.g, a.poly()), None
-    for tried, (p, gp, ap, ddf) in enumerate(primes, 1):
-        if y is None and ddf[0][1] == d and (k := _nonsquare_shift(gp, p)) is not None:
-            x = _gf_sqrt(ap, gp, p, k)  # None: Euler's criterion fails at p
-            if x is None:
-                return None
-            y, inert = gf_gcdex(x, gp, p)[0], p
-        elif tried <= _SYMBOL_PRIMES and _is_nonresidue(p, ap, ddf):
+    e = Li.g.den
+    ge = Poly(_integral(Li.g))
+    a1 = Poly([x / e**j for j, x in enumerate(a.coords)])
+    primes, walked, inert = _good_primes(ge, a1), [], False
+    for p, gp, ap, ddf in primes:
+        if ddf[0][1] < d and len(walked) < _SYMBOL_PRIMES and _is_nonresidue(p, ap, ddf):
             return None
-        if y is not None and tried >= _SYMBOL_PRIMES or tried == _INERT_PRIMES:
+        walked.append((p, gp, ap, ddf))
+        inert = inert or ddf[0][1] == d
+        if inert and len(walked) >= _SYMBOL_PRIMES or len(walked) == _INERT_PRIMES:
             break
-    r = None if y is None else _lift_sqrt(Li, a, inert, y)
-    if r is not None:
-        return _norm_route_root(Li, r, inert)
-    for p, gp, ap, ddf in islice(primes, _MORE_SYMBOL_PRIMES):
-        if _is_nonresidue(p, ap, ddf):
-            return None
-    return _trager_sqrt(Li, a)
-
-
-def _trager_sqrt(Li: EtaleAlgebra, a):
-    """A root of z^2 = a in the field Li of degree d >= 2, or None.
-
-    Norm method (Trager, SYMSAC 1976): take a shift s making
-    N_s(z) = Res_x(g_i(x), (z - s x)^2 - a(x)) squarefree. N_0(z) = chi_a(z^2)
-    comes from the characteristic polynomial of a; other shifts interpolate
-    2d + 1 resultants. If a is not a square in Li, N_s is irreducible over Q.
-    Otherwise N_s is the product of the distinct minimal polynomials of the
-    roots s beta + c and s beta - c of r(z) = (z - s beta)^2 - a, and a
-    factor F of degree d vanishes at exactly one of them. Reducing F modulo
-    the monic r leaves u z + v with u != 0, so that root is -v / u and
-    -v / u - s beta is a square root of a.
-    """
-    d = Li.n
-    gpol = Li.g
-    apol = a.poly()
-    for s in _SHIFTS:
-        if s == 0:
-            coeffs = [Fraction(0)] * (2 * d + 1)
-            coeffs[::2] = a.charpoly().coeffs
-            N = Poly(coeffs)
-        else:
-            pts = []
-            vals = []
-            z0 = 0
-            while len(pts) < 2 * d + 1:
-                q = (Poly([z0]) - s * X) ** 2 - apol
-                pts.append(Fraction(z0))
-                vals.append(resultant(gpol, q))
-                z0 = -z0 + (1 if z0 <= 0 else 0)
-            N = lagrange_interpolate(pts, vals)
-        assert N.degree == 2 * d
-        if is_squarefree(N):
+    walked.sort(key=lambda w: sum((len(part) - 1) // k for part, k in w[3]))
+    for p, gp, ap, ddf in chain(walked, primes):
+        fields = [(h, _nonsquare_shift(h, p)) for h in _gf_split(ddf, p, random.Random(p))]
+        if all(k is not None for _, k in fields):
             break
-    else:
-        raise AssertionError("no squarefree norm shift found")
-    F = factor_poly(N)[0][0]
-    if F.degree > d:
-        return None
-    sbeta = s * Li.beta
-    c0 = sbeta * sbeta - a  # r(z) = z^2 - 2 s beta z + c0
-    u = v = Li.zero
-    for c in reversed(F.coeffs):  # (u z + v) z + c, with z^2 = 2 s beta z - c0
-        u, v = v + 2 * sbeta * u, c - c0 * u
-    root = -v * u.inverse() - sbeta
-    assert root * root == a
-    return root
+    ys = []
+    for h, k in fields:
+        x = _gf_sqrt(gf_divmod(ap, h, p)[1], h, p, k)
+        if x is None:
+            return None  # Euler's criterion fails in this residue field
+        q = gf_divmod(gp, h, p)[0]  # y = q / (x q) is 1 / x mod h and 0 mod the other fields
+        ys.append(gf_mul(gf_gcdex(gf_mul(x, q, p), h, p)[0], q, p))
+    rows, D = _gram_inverse(ge)
+    c = ge.derivative() * a1.den
+    target, H = (c * c * a1) % ge, _height(ge, c, a1, rows, D)
+    for signs in product((1, -1), repeat=len(ys) - 1):
+        y = [0] * d
+        for s, u in zip((1, *signs), ys):
+            for j, x in enumerate(u):
+                y[j] += s * x
+        w = _lift_sqrt(p, gf_from_int(y, p), ge, a1, c, target, H)
+        if w is not None:
+            # Tr(r beta'^i) = Tr(w beta'^i / g_e'(beta')) / delta is the top
+            # coordinate of w beta'^i over delta (Euler), and r = G^-1 (traces)
+            tops, col = [], [*w.num, *[0] * (d - len(w.num))]
+            for _ in range(d):
+                tops.append(col[-1])
+                col = [x - col[-1] * gc for x, gc in zip([0, *col[:-1]], ge.num)]
+            den = D * a1.den
+            return Li.element([Fraction(sum(map(mul, row, tops)) * e**j, den)
+                               for j, row in enumerate(rows)])
+    return None
 
 
 def sqrt_in_algebra(A: EtaleAlgebra, a):
@@ -540,8 +537,6 @@ def all_square_roots(A: EtaleAlgebra, a):
     c = sqrt_in_algebra(A, a)
     if c is None:
         return []
-    from itertools import product
-
     es = A.idempotents()
     out = []
     for signs in product([1, -1], repeat=len(es)):

@@ -279,7 +279,9 @@ def test_component_sqrt_matches_euclid_reference():
                     if want is None:
                         assert got is None, (Li, a)
                     else:
+                        # either root; sqrt_in_algebra pins the canonical one
                         squares += 1
+                        got, want = _canonical_sign(got), _canonical_sign(want)
                         assert repr(got.coords) == repr(want.coords), (Li, a)
     assert squares >= 60
 
@@ -344,30 +346,31 @@ def rand_field(rng, d):
 
 @pytest.fixture
 def sqrt_route(monkeypatch):
-    """_component_sqrt with the route it took: 'symbol' (a certified None
-    from residue symbols), 'lift' (a verified p-adic lift) or 'trager'."""
+    """_component_sqrt with the route it took: 'symbol' (a None certified by a
+    residue symbol), 'lift' (a verified p-adic lift) or 'bound' (a None
+    certified by lifts past the height bound). run.calls has one entry per lift
+    of the last call."""
     calls = []
-    for name in ("_lift_sqrt", "_trager_sqrt"):
-        f = getattr(etale, name)
-        spy = lambda *args, f=f, name=name: calls.append(name) or f(*args)
-        monkeypatch.setattr(etale, name, spy)
+    lift = etale._lift_sqrt
+    monkeypatch.setattr(etale, "_lift_sqrt", lambda *args: calls.append(1) or lift(*args))
 
     def run(Li, a):
         del calls[:]
         r = _component_sqrt(Li, a)
-        if "_trager_sqrt" in calls:
-            return r, "trager"
-        return r, "symbol" if r is None else "lift"
+        return r, "lift" if r is not None else "bound" if calls else "symbol"
 
+    run.calls = calls
     return run
 
 
 def check_against_trager(sqrt_route, Li, a):
     got, route = sqrt_route(Li, a)
     want = reference_trager_sqrt(Li, a)
-    assert repr(got) == repr(want), (Li, a, route)
-    if got is not None:
-        assert got * got == a
+    if want is None:
+        assert got is None, (Li, a, route)
+    else:
+        assert got is not None and got * got == a, (Li, a, route)
+        assert got in (want, -want), (Li, a, route)
     return route
 
 
@@ -381,7 +384,7 @@ def test_component_sqrt_matches_trager_reference(sqrt_route):
             for a in (c * c, c * c * b, c):
                 if a.is_unit:
                     seen[check_against_trager(sqrt_route, Li, a)] += 1
-    assert seen["lift"] >= 28 and seen["symbol"] >= 28
+    assert seen["lift"] >= 28 and seen["symbol"] >= 28 and seen["bound"] >= 1
 
 
 def test_component_sqrt_special_fields(sqrt_route):
@@ -426,26 +429,62 @@ def test_component_sqrt_skips_primes_where_a_is_not_a_unit(sqrt_route):
                 check_against_trager(sqrt_route, Li, a)
 
 
-def test_component_sqrt_without_inert_prime_takes_norm_route(sqrt_route):
-    # Q(sqrt 2, sqrt 3): the Galois group (Z/2)^2 has no 4-cycle, so no inert prime
-    Li = EtaleAlgebra(poly_from_ints([1, 0, -10, 0, 1]))
-    b = Li.beta  # sqrt 2 + sqrt 3, and b^2 = 5 + 2 sqrt 6
-    seen = Counter()
-    for a in (b * b, Li.from_rational(2), Li.from_rational(6), (b + 1) * (b + 1),
-              Li.from_rational(Fraction(3, 4)), Li.from_rational(-1), b, b + 1):
-        seen[check_against_trager(sqrt_route, Li, a)] += 1
-    assert seen["trager"] >= 4 and seen["lift"] == 0
+# Q(sqrt 2, sqrt 3) and Q(sqrt 2, sqrt 3, sqrt 5): Galois groups (Z/2)^2 and
+# (Z/2)^3 have no 4- or 8-cycle, so no prime is inert, and every good prime
+# has at least 2 and 4 residue fields
+NO_INERT_PRIME = [([1, 0, -10, 0, 1], 2), ([576, 0, -960, 0, 352, 0, -40, 0, 1], 4)]
 
 
-def test_component_sqrt_routes(sqrt_route, monkeypatch):
+def test_component_sqrt_without_inert_prime_lifts_at_several_fields(sqrt_route):
+    for g, fields in NO_INERT_PRIME:
+        Li = EtaleAlgebra(poly_from_ints(g))
+        b = Li.beta  # sqrt 2 + sqrt 3 (+ sqrt 5)
+        seen = Counter()
+        squares = [b * b, (b + 1) * (b + 1), (b * b - 3 * b + Fraction(1, 2)) ** 2]
+        rationals = [Li.from_rational(x) for x in (2, 6, 30, Fraction(3, 4), -1)]
+        others = [Li.from_rational(x) for x in (7, 11, 13, 14)] + [b, b + 1]
+        for a in squares + rationals + others:
+            route = check_against_trager(sqrt_route, Li, a)
+            seen[route] += 1
+            if route == "bound":  # every sign pattern was lifted
+                assert len(sqrt_route.calls) >= 2 ** (fields - 1), (g, a)
+        assert seen["lift"] >= 5 and seen["bound"] >= 3 and seen["symbol"] >= 2, (g, seen)
+
+
+def test_component_sqrt_routes(sqrt_route):
     Li = EtaleAlgebra(poly_from_ints([1, 0, 1]))
     assert check_against_trager(sqrt_route, Li, Li.from_rational(3)) == "symbol"
     assert check_against_trager(sqrt_route, Li, Li.from_rational(-1)) == "lift"
+    assert check_against_trager(sqrt_route, Li, Li.from_rational(5)) == "bound"
     K = EtaleAlgebra(poly_from_ints([1, 0, -10, 0, 1]))
-    assert check_against_trager(sqrt_route, K, K.beta * K.beta) == "trager"
-    # a lift that has not verified by the precision cap falls back too
+    assert check_against_trager(sqrt_route, K, K.beta * K.beta) == "lift"
+    assert check_against_trager(sqrt_route, K, K.from_rational(7)) == "bound"
+    # large coordinates verify only after several doublings, non-squares at the bound
     M = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
     c = M.element([Fraction(1234567, 89), Fraction(-2, 3), 99991])
     assert check_against_trager(sqrt_route, M, c * c) == "lift"
-    monkeypatch.setattr(etale, "_LIFT_CAP_BITS", 16)
-    assert check_against_trager(sqrt_route, M, c * c) == "trager"
+    assert check_against_trager(sqrt_route, M, c * c * 11) == "bound"
+
+
+def test_height_bounds_the_scaled_root():
+    # H bounds every coordinate of c r in the basis of powers of beta' = e beta
+    rng = random.Random(56)
+    cases = []
+    for d in range(2, 9):
+        for _ in range(3):
+            Li = rand_field(rng, d)
+            cases.append((Li, rand_unit(rng, Li)))
+    for g, r in (([Fraction(1, 4), 0, 1], [Fraction(1, 2), -3]),
+                 ([Fraction(5, 2), Fraction(-1, 3), 0, 1], [Fraction(2, 3), 5, Fraction(-7, 2)]),
+                 ([-2, 0, 0, 1], [Fraction(1234567, 89), Fraction(-2, 3), 99991])):
+        Li = EtaleAlgebra(Poly(g))
+        cases.append((Li, Li.element(r)))
+    for Li, r in cases:
+        e = Li.g.den
+        ge = Poly(etale._integral(Li.g))
+        in_beta1 = lambda x: Poly([v / e**j for j, v in enumerate(x.coords)])
+        a1 = in_beta1(r * r)
+        c = ge.derivative() * a1.den
+        H = etale._height(ge, c, a1, *etale._gram_inverse(ge))
+        w = (c * in_beta1(r)) % ge
+        assert w.den == 1 and max(map(abs, w.num)) <= H, (Li, r)

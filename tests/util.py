@@ -32,7 +32,7 @@ polynomial norm and the reduction modulo (z - s beta)^2 - a replaced, and
 the reference Trager square root keeps that norm route in full (the norm
 from the multiplication matrix's characteristic polynomial or from 2d + 1
 resultants, factored by factor_poly), which residue symbols and a p-adic
-lift at an inert prime replaced.
+lift, certified by a height bound, replaced.
 The reference polynomial keeps the tuple of Fractions, with Euclidean
 division over Q, that the integer numerators over one denominator in
 `polys` replaced, and the reference invariant form keeps the Fraction
