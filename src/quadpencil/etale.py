@@ -8,14 +8,16 @@ p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
 one integer solve with the multiplication matrix M_a.
 
 Square roots are decided on each field component K = Q[x]/(g_i) of degree d,
-by one certified route. Euler's criterion at a few odd primes p where a is a
-unit and g_i stays squarefree certifies a non-square. Otherwise square roots
-in the residue fields at one such p are joined by CRT and lifted p-adically by
-Newton's iteration. A scaled root c r lies in Z[beta'] for an integral
-generator beta' and an explicit c, and an exact integer bound H on its
-coordinates comes from the trace form; once p^k > 2H, the lift either gives
-c r as a symmetric residue whose square is c^2 a, or certifies that a is not
-a square (Couveignes, LNM 1554, 1993; Cohen, GTM 138, 4.5).
+its elements held as polynomials mod g_i, by one certified route. Euler's
+criterion at a few odd primes p where a is a unit and g_i stays squarefree
+(the walk factor._good_primes, shared with factorization) certifies a
+non-square. Otherwise square roots in the residue fields at one such p are
+joined by CRT and lifted p-adically by Newton's iteration. A scaled root c r
+lies in Z[beta'] for an integral generator beta' and an explicit c, and an
+exact integer bound H on its coordinates comes from the trace form; once
+p^k > 2H, the lift either gives c r as a symmetric residue whose square is
+c^2 a, or certifies that a is not a square (Couveignes, LNM 1554, 1993;
+Cohen, GTM 138, 4.5).
 """
 
 import random
@@ -25,9 +27,9 @@ from math import isqrt
 from operator import mul
 
 from .errors import DomainError
-from .factor import _gf_ddf, _gf_split, factor_poly, gf_divmod, gf_from_int, gf_gcd, gf_gcdex
-from .factor import gf_is_squarefree, gf_mul, gf_pow_mod, gf_sub
-from .intutil import is_square_rational, next_prime, rational_sqrt
+from .factor import _gf_split, _good_primes, factor_poly, gf_divmod, gf_from_int, gf_gcd
+from .factor import gf_gcdex, gf_mul, gf_pow_mod, gf_sub
+from .intutil import is_square_rational, rational_sqrt
 from .linalg import _bareiss
 from .linalg import charpoly as mat_charpoly
 from .linalg import det as mat_det  # noqa: F401  (perfbench's tests trace this alias)
@@ -50,7 +52,6 @@ class EtaleAlgebra:
         self.g = g
         self.n = g.degree
         self._factors = None
-        self._components = None
         self._idempotents = None
         # powers of beta mod g up to beta^(2n-2), for beta_pow and euler_trace_solve:
         # each is the last one shifted up, less its top coefficient times the monic g
@@ -129,17 +130,6 @@ class EtaleAlgebra:
     def __repr__(self):
         return "EtaleAlgebra(%r)" % (self.g,)
 
-    def components(self):
-        """[(g_i, EtaleAlgebra(g_i))] for the irreducible factors g_i."""
-        if self._components is None:
-            self._components = [(gi, EtaleAlgebra(gi)) for gi in self.factors]
-        return self._components
-
-    def project(self, a, i):
-        """Image of a in the i-th component field."""
-        gi, Li = self.components()[i]
-        return Li.from_poly(a.poly())
-
     def idempotents(self):
         """Primitive idempotents E_i, one per irreducible factor, E_i = 1 mod g_i."""
         if self._idempotents is None:
@@ -160,15 +150,6 @@ class EtaleAlgebra:
                     assert (out[i] * out[j]).is_zero
             self._idempotents = out
         return self._idempotents
-
-    def lift_components(self, comp_elems):
-        """Element with prescribed image in every component, via idempotents."""
-        es = self.idempotents()
-        assert len(comp_elems) == len(es)
-        out = self.zero
-        for ci, ei in zip(comp_elems, es):
-            out = out + self.from_poly(ci.poly()) * ei
-        return out
 
 
 class AlgElement:
@@ -299,12 +280,9 @@ def euler_trace_solve(A: EtaleAlgebra, targets):
     return A.element(kappa)
 
 
-def _canonical_sign(c):
-    """Flip so the first nonzero coordinate is positive."""
-    for x in c.coords:
-        if x != 0:
-            return -c if x < 0 else c
-    return c
+def _canonical_sign(r: Poly):
+    """Flip so the lowest nonzero coefficient is positive."""
+    return -r if next((x for x in r.num if x), 0) < 0 else r
 
 
 def _reduce(P: Poly, m):
@@ -313,17 +291,13 @@ def _reduce(P: Poly, m):
     return gf_from_int([c * inv for c in P.num], m)
 
 
-def _good_primes(g: Poly, A: Poly):
-    """(p, g mod p, A mod p, distinct-degree split of g mod p) for the odd p
-    dividing no denominator with g squarefree and gcd(A, g) = 1 mod p: then
-    A, of degree < deg g, is a unit at every prime of Q[x]/(g) above p."""
-    D, p = g.den * A.den, 2
-    while True:
-        p = next_prime(p)
-        if D % p:
-            gp, ap = _reduce(g, p), _reduce(A, p)
-            if gf_is_squarefree(gp, p) and len(gf_gcd(ap, gp, p)) == 1:
-                yield p, gp, ap, _gf_ddf(gp, p)
+def _unit_primes(ge: Poly, a1: Poly):
+    """(p, ge mod p, a1 mod p, split) along _good_primes(ge), where a1 is a
+    unit at every prime of Q[x]/(ge) above p: gcd(a1, ge) = 1 mod p."""
+    for p, gp, ddf in _good_primes(ge.num, a1.den):
+        ap = _reduce(a1, p)
+        if len(gf_gcd(ap, gp, p)) == 1:
+            yield p, gp, ap, ddf
 
 
 def _is_nonresidue(p, ap, ddf):
@@ -434,40 +408,38 @@ def _lift_sqrt(p, y, ge, a1, c, target, H):
         m *= m
 
 
-def _component_sqrt(Li: EtaleAlgebra, a):
-    """A root of z^2 = a in the field Li, or None; either root when a is a square.
+def _component_sqrt(gi: Poly, a: Poly):
+    """A root r of r^2 = a in the field Q[x]/(gi), or None; either root when a
+    is a square. gi is monic irreducible, a and r have degree < deg gi.
 
     Degree 1 is a rational square root. For d >= 2 the work is in the basis of
-    powers of beta' = e beta, e = g.den, a root of the monic integral
-    g_e(x) = e^d g(x / e). With delta the lcm of the denominators of a in that
+    powers of beta' = e beta, e = gi.den, a root of the monic integral
+    g_e(x) = e^d gi(x / e). With delta the lcm of the denominators of a in that
     basis, delta r is integral when r^2 = a, and so c r is in Z[beta'] for
     c = delta g_e'(beta'), as the ring of integers lies in g_e'(beta')^-1 Z[beta'].
     _height bounds its coordinates by an integer H.
 
-    At a good prime p, a is a unit at every prime above p, so a non-square in
-    some residue field (Euler's criterion) certifies a non-square: it is tested
-    at the first _SYMBOL_PRIMES good primes. The lift prime is the first inert
-    one (g_e irreducible mod p) among the first _INERT_PRIMES good primes, or,
-    when there is none (no d-cycle in the Galois group, as for
-    x^4 - 10x^2 + 1), the walked prime with the fewest residue fields, each
-    of which needs a non-square x + k for Tonelli-Shanks; if none qualifies,
-    the walk goes on, and by Weil's bound every p > (d - 1)^2 does.
-    Tonelli-Shanks gives a square root in each residue field; their inverses,
-    joined by CRT with signs fixed in the first field, are lifted by
-    _lift_sqrt. Past p^k > 2H, the symmetric residue of c r is c r itself for
+    At a good prime p (_unit_primes), a is a unit at every prime above p, so a
+    non-square in some residue field (Euler's criterion) certifies a
+    non-square: it is tested at the first _SYMBOL_PRIMES good primes. The lift
+    prime is the first inert one (g_e irreducible mod p) among the first
+    _INERT_PRIMES good primes, or, when there is none (no d-cycle in the
+    Galois group, as for x^4 - 10x^2 + 1), the walked prime with the fewest
+    residue fields, each of which needs a non-square x + k for Tonelli-Shanks;
+    if none qualifies, the walk goes on, and by Weil's bound every
+    p > (d - 1)^2 does. Tonelli-Shanks gives a square root in each residue
+    field; their inverses, joined by CRT with signs fixed in the first field,
+    are lifted by _lift_sqrt. Past p^k > 2H, the symmetric residue of c r is c r itself for
     one of the 2^(k-1) sign patterns of k fields, so when none verifies, a is
     certified not a square.
     """
-    d = Li.n
+    d = gi.degree
     if d == 1:
-        val = a.coords[0]
-        if is_square_rational(val):
-            return Li.element([rational_sqrt(val)])
-        return None
-    e = Li.g.den
-    ge = Poly(_integral(Li.g))
-    a1 = Poly([x / e**j for j, x in enumerate(a.coords)])
-    primes, walked, inert = _good_primes(ge, a1), [], False
+        return Poly([rational_sqrt(a[0])]) if is_square_rational(a[0]) else None
+    e = gi.den
+    ge = Poly(_integral(gi))
+    a1 = Poly([x / e**j for j, x in enumerate(a.coeffs)])
+    primes, walked, inert = _unit_primes(ge, a1), [], False
     for p, gp, ap, ddf in primes:
         if ddf[0][1] < d and len(walked) < _SYMBOL_PRIMES and _is_nonresidue(p, ap, ddf):
             return None
@@ -503,9 +475,8 @@ def _component_sqrt(Li: EtaleAlgebra, a):
             for _ in range(d):
                 tops.append(col[-1])
                 col = [x - col[-1] * gc for x, gc in zip([0, *col[:-1]], ge.num)]
-            den = D * a1.den
-            return Li.element([Fraction(sum(map(mul, row, tops)) * e**j, den)
-                               for j, row in enumerate(rows)])
+            return _make([sum(map(mul, row, tops)) * e**j for j, row in enumerate(rows)],
+                         D * a1.den)
     return None
 
 
@@ -513,21 +484,20 @@ def sqrt_in_algebra(A: EtaleAlgebra, a):
     """A square root of the unit a (an element, coordinates or a rational) in
     A, or None if a is not a square.
 
-    Decided independently on every irreducible component; the returned root is
-    canonicalized so each component image, then the whole element, has positive
-    first nonzero coordinate.
+    Decided on a mod g_i for every irreducible factor g_i; the roots r_i,
+    each and then their sum of r_i E_i mod g canonicalized to a positive first
+    nonzero coordinate, are joined by the idempotents E_i.
     """
     a = A.one._coerce(a) if isinstance(a, (AlgElement, int, Fraction)) else A.element(a)
     if not a.is_unit:
         raise DomainError("sqrt_in_algebra needs an invertible element")
-    comp_roots = []
-    for i, (gi, Li) in enumerate(A.components()):
-        ci = _component_sqrt(Li, A.project(a, i))
-        if ci is None:
+    ap, root = a.poly(), Poly()
+    for gi, ei in zip(A.factors, A.idempotents()):
+        ri = _component_sqrt(gi, ap % gi)
+        if ri is None:
             return None
-        comp_roots.append(_canonical_sign(ci))
-    c = A.lift_components(comp_roots)
-    c = _canonical_sign(c)
+        root = root + _canonical_sign(ri) * ei.poly()
+    c = A.from_poly(_canonical_sign(root % A.g))
     assert c * c == a
     return c
 
@@ -538,10 +508,4 @@ def all_square_roots(A: EtaleAlgebra, a):
     if c is None:
         return []
     es = A.idempotents()
-    out = []
-    for signs in product([1, -1], repeat=len(es)):
-        u = A.zero
-        for s, e in zip(signs, es):
-            u = u + (e if s == 1 else -e)
-        out.append(c * u)
-    return out
+    return [c * sum(map(mul, signs, es), A.zero) for signs in product([1, -1], repeat=len(es))]

@@ -1,14 +1,15 @@
 """Factorization of rational polynomials into monic irreducibles.
 
 Pipeline: Yun squarefree decomposition, then for each squarefree part taken
-primitive over Z: reduce mod a good odd prime (several tried, fewest modular
-factors wins, counted from the distinct-degree split), equal-degree splitting
+primitive over Z: reduce mod a good odd prime (the first three of the walk
+`_good_primes`, which etale's square roots share; fewest modular factors
+wins, counted from the distinct-degree split), equal-degree splitting
 at the chosen prime only, quadratic Hensel lifting past the Landau-Mignotte
 bound, and subset recombination. Degrees at desk scale (<= 12) keep the subset
 stage cheap.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import isqrt
 import random
 
@@ -163,16 +164,24 @@ def _gf_edf(f, d, p, rng):
     return _gf_edf(gf_monic(g, p), d, p, rng) + _gf_edf(gf_monic(other, p), d, p, rng)
 
 
-def gf_factor_squarefree(f, p, rng=None):
-    """Monic irreducible factors of a monic squarefree f mod odd p."""
-    return _gf_split(_gf_ddf(f, p), p, rng or random.Random(0x5EED))
-
-
 def _gf_split(ddf, p, rng):
     """The irreducible factors of a distinct-degree split, sorted."""
     out = [h for part, d in ddf for h in _gf_edf(part, d, p, rng)]
     out.sort(key=lambda h: (len(h), h[::-1]))
     return out
+
+
+def _good_primes(F, den=1):
+    """(p, F mod p made monic, its distinct-degree split) for the odd primes p,
+    increasing, where p does not divide lc(F) den and the integer list F stays
+    squarefree mod p; finitely many are skipped when F is squarefree."""
+    bad, p = F[-1] * den, 2
+    while True:
+        p = next_prime(p)
+        if bad % p:
+            fp = gf_monic(gf_from_int(F, p), p)
+            if gf_is_squarefree(fp, p):
+                yield p, fp, _gf_ddf(fp, p)
 
 
 # Hensel lifting, mod p^k with the helpers above that take any modulus.
@@ -246,21 +255,9 @@ def _zassenhaus(F, rng):
     A = max(abs(c) for c in F)
     bound = (isqrt(n + 1) + 1) * 2**n * A * abs(lc)
 
-    # Only the finitely many primes dividing lc * disc(F) are bad, so the walk
-    # goes on until one candidate is found; the cap of 40 applies after that.
     candidates = []
-    p = 2
-    tried = 0
-    while len(candidates) < 3 and (tried < 40 or not candidates):
-        p = next_prime(p)
-        tried += 1
-        if lc % p == 0:
-            continue
-        fp = gf_monic(gf_from_int(F, p), p)
-        if not gf_is_squarefree(fp, p):
-            continue
+    for p, _, ddf in islice(_good_primes(F), 3):
         # the number of modular factors, from the distinct-degree split alone
-        ddf = _gf_ddf(fp, p)
         candidates.append((sum((len(part) - 1) // d for part, d in ddf), p, ddf))
         if candidates[-1][0] == 1:
             return [F if lc > 0 else [-c for c in F]]

@@ -5,7 +5,7 @@ Every kernel runs on Python integers and forms Fractions only for what it
 returns, which avoids a gcd per Fraction operation. `mat_mul` and the
 eliminations clear denominators row by row; `det`, `solve`, `inverse` and
 `nullspace` share one fraction-free elimination loop, `_bareiss`.
-`congruence`, `mat_vec`, `vec_mat` and `charpoly` clear each operand once
+`congruence`, `vec_mat` and `charpoly` clear each operand once
 (`_clear`), and `congruence` and `charpoly` multiply with `_int_mul`; `det`
 takes a matrix of ints as it is. `hnf` inserts rows one at a time into an
 integer echelon basis by Euclid's algorithm on row pairs, then reduces above
@@ -44,7 +44,8 @@ def _int_rows(A):
 def mat_mul(A, B):
     """A B: each entry is an integer row of A times an integer column of B,
     over the product of their two denominators."""
-    assert len(A[0]) == len(B)
+    if any(len(row) != len(B) for row in A):
+        raise DomainError("matrix shapes do not match")
     cols = _int_rows(zip(*B))
     return [[Fraction(sum(map(mul, ra, cb)), da * db) for db, cb in cols]
             for da, ra in _int_rows(A)]
@@ -54,12 +55,6 @@ def _int_mul(A, B):
     """A B for matrices of ints."""
     cols = list(zip(*B))
     return [[sum(map(mul, row, col)) for col in cols] for row in A]
-
-
-def mat_vec(A, v):
-    """A v, with A and v each cleared once."""
-    (da, A), (dv, (v,)) = _clear(A), _clear([v])
-    return [Fraction(sum(map(mul, row, v)), da * dv) for row in A]
 
 
 def vec_mat(v, A):

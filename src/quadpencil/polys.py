@@ -403,7 +403,10 @@ def lagrange_interpolate(xs, ys) -> Poly:
 
     Newton divided differences, then the Newton form expanded by Horner's rule.
     """
-    assert len(xs) == len(ys) and len(set(xs)) == len(xs)
+    if len(xs) != len(ys):
+        raise DomainError("need as many values as points")
+    if len(set(xs)) != len(xs):
+        raise DomainError("interpolation points must be distinct")
     xs = [Fraction(x) for x in xs]
     dd = [Fraction(y) for y in ys]
     m = len(xs)

@@ -11,6 +11,7 @@ set {0, 2, primes of the diagonal}.
 
 from fractions import Fraction
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .errors import DomainError
 from .intutil import (
@@ -21,7 +22,7 @@ from .intutil import (
     shell_prefixes,
     squarefree_part,
 )
-from .linalg import _clear, _int_mul, congruence, det, is_symmetric, mat, mat_vec, transpose
+from .linalg import _clear, _int_mul, congruence, det, is_symmetric, mat, transpose
 
 REAL_PLACE = 0
 
@@ -261,6 +262,7 @@ def _isotropy_search(q: QuadForm, bound: int):
     entries, P = diagonalize(q)
     if not _isotropic(entries):
         return False, None
+    _, P = _clear(P)  # a positive multiple of P: the witness is made primitive
     head, last = entries[:-1], entries[-1]
     for h in range(1, bound + 1):
         for p, on_shell in shell_prefixes(len(head), h):
@@ -270,15 +272,9 @@ def _isotropy_search(q: QuadForm, bound: int):
             t = isqrt(t2)
             if t * t != t2 or t > h or not (on_shell or t == h):
                 continue
-            x = mat_vec(P, [Fraction(c) for c in p + (-t,)])
-            den = 1
-            for c in x:
-                den = den * c.denominator // gcd(den, c.denominator)
-            ints = [int(c * den) for c in x]
-            g = 0
-            for c in ints:
-                g = gcd(g, c)
-            ints = [c // g for c in ints]
+            x = [sum(map(mul, row, p + (-t,))) for row in P]
+            g = gcd(*x)
+            ints = [c // g for c in x]
             assert q.value(ints) == 0
             return True, ints
     return True, None
@@ -307,15 +303,7 @@ def gram_invariant(space: QuadForm, vectors) -> QuadForm:
     for w in ws:
         if len(w) != space.dim:
             raise DomainError("vector of wrong length")
-    G = space.gram
-    out = [
-        [
-            sum(ws[i][r] * G[r][s] * ws[j][s] for r in range(space.dim) for s in range(space.dim))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return QuadForm(out)
+    return QuadForm(congruence(transpose(ws), space.gram))
 
 
 def so_orbit_target(f: QuadForm, space: QuadForm):
@@ -375,10 +363,7 @@ def quaternion_class(u, v) -> BrauerClass2:
         raise DomainError("quaternion parameters must be nonzero")
     U = squarefree_part(u)
     V = squarefree_part(v)
-    places = {REAL_PLACE, 2}
-    places.update(factorint(abs(U)))
-    places.update(factorint(abs(V)))
-    ram = {p for p in places if _symbol(U, V, p) == -1}
+    ram = {p for p in _places([U, V]) if _symbol(U, V, p) == -1}
     return BrauerClass2(ram)
 
 

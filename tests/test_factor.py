@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 from quadpencil import Poly, factor_poly, is_irreducible
-from quadpencil.factor import gf_divmod, gf_factor_squarefree, gf_from_int, gf_is_squarefree, gf_mul
+from quadpencil.factor import _gf_ddf, _gf_split, _good_primes, gf_divmod, gf_from_int
+from quadpencil.factor import gf_is_squarefree, gf_monic, gf_mul
 from quadpencil.intutil import next_prime
 from quadpencil.polys import poly_from_ints
 
@@ -97,13 +98,28 @@ def test_gf_factor_against_trial_division():
             f = gf_from_int([rng.randrange(p) for _ in range(deg)] + [1], p)
             if len(f) - 1 != deg or not gf_is_squarefree(f, p):
                 continue
-            factors = gf_factor_squarefree(f, p)
+            factors = _gf_split(_gf_ddf(f, p), p, random.Random(0x5EED))
             prod = [1]
             for g in factors:
                 assert g[-1] == 1
                 assert gf_irreducible_by_trial(g, p)
                 prod = gf_mul(prod, g, p)
             assert prod == f
+
+
+def test_good_primes_walk():
+    # 3 x^2 - 77 with den = 5 * 13: 3 divides lc, 5 and 13 the den, and
+    # 7 and 11 the discriminant (x^2 mod 7 and mod 11)
+    F, den = [-77, 0, 3], 5 * 13
+    walked = list(itertools.islice(_good_primes(F, den), 8))
+    assert [p for p, _, _ in walked] == [17, 19, 23, 29, 31, 37, 41, 43]
+    for p, fp, ddf in walked:
+        assert fp == gf_monic(gf_from_int(F, p), p) and fp[-1] == 1 and len(fp) == 3
+        assert ddf == _gf_ddf(fp, p)
+    for p in (3, 5, 7, 11, 13):
+        assert (F[-1] * den) % p == 0 or not gf_is_squarefree(gf_monic(gf_from_int(F, p), p), p)
+    # den = 1 keeps 5 and 13; the leading coefficient alone skips 3
+    assert [p for p, _, _ in itertools.islice(_good_primes(F), 3)] == [5, 13, 17]
 
 
 def int_mul(f, g):

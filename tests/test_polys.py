@@ -217,6 +217,16 @@ def test_lagrange_matches_reference():
     assert lagrange_interpolate([5], [Fraction(2, 3)]) == Poly([Fraction(2, 3)])
 
 
+def test_lagrange_rejects_bad_points():
+    # DomainErrors, not asserts, so that python -O keeps the checks
+    for xs, ys in (([0, 1], [5, 6, 7]), ([0, 1, 2], [5, 6])):
+        with pytest.raises(DomainError, match="as many values as points"):
+            lagrange_interpolate(xs, ys)
+    for xs in ([1, 2, 1], [Fraction(1, 2), 0, Fraction(2, 4)]):
+        with pytest.raises(DomainError, match="points must be distinct"):
+            lagrange_interpolate(xs, [5, 6, 7])
+
+
 def test_negative_power_rejected():
     assert Poly([1, 1]) ** 0 == Poly([1])
     with pytest.raises(DomainError):

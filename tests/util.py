@@ -65,7 +65,7 @@ from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra, euler_trace_solve
 from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
-from quadpencil.linalg import charpoly, mat_vec
+from quadpencil.linalg import charpoly
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
@@ -340,7 +340,7 @@ def reference_isotropy_witness(q, bound):
                 continue
             if sum(entries[i] * y[i] * y[i] for i in range(n)) != 0:
                 continue
-            x = mat_vec(P, [Fraction(c) for c in y])
+            x = reference_mat_vec(P, [Fraction(c) for c in y])
             den = 1
             for c in x:
                 den = den * c.denominator // gcd(den, c.denominator)
