@@ -317,6 +317,8 @@ def cmd_adj_conj(args):
 # ---------------------------------------------------------------- selftest
 
 def cmd_selftest(args):
+    if not __debug__:
+        raise DomainError("selftest checks its criteria with assert, which python -O strips")
     from .acceptance import run_selftest
 
     return run_selftest(seed=args.seed)

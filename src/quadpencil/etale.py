@@ -1,7 +1,9 @@
 """Etale algebras L = Q[x]/(g) for monic squarefree g, with exact arithmetic.
 
-Elements are coordinate vectors in the power basis 1, beta, ..., beta^(n-1)
-where beta is the class of x. The trace form identity
+An element is its reduced representative: one Poly of degree < n in beta,
+the class of x, so arithmetic runs on integer numerators over one
+denominator; `coords` is the Fraction view in the power basis
+1, beta, ..., beta^(n-1), padded to length n. The trace form identity
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
 the pencil module. Traces are dot products with the power sums
 p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
@@ -86,37 +88,33 @@ class EtaleAlgebra:
         return self._power_sums
 
     def element(self, coords):
-        cs = [Fraction(c) for c in coords]
+        cs = list(coords)
         if len(cs) > self.n:
             raise DomainError("coordinate vector longer than the degree")
-        cs += [Fraction(0)] * (self.n - len(cs))
-        return AlgElement(self, tuple(cs))
+        return AlgElement(self, Poly(cs))
 
     def from_poly(self, p: Poly):
-        r = p % self.g
-        return self.element(list(r.coeffs))
+        return AlgElement(self, p if p.degree < self.n else p % self.g)
 
     def from_rational(self, c):
-        return self.element([Fraction(c)])
+        return AlgElement(self, Poly([c]))
 
     @property
     def zero(self):
-        return self.element([])
+        return AlgElement(self, Poly())
 
     @property
     def one(self):
-        return self.element([1])
+        return AlgElement(self, Poly([1]))
 
     @property
     def beta(self):
-        if self.n == 1:
-            return self.from_poly(X)
-        return self.element([0, 1])
+        return self.from_poly(X)
 
     def beta_pow(self, m):
         """beta^m as an element, cached for m <= 2n-2."""
         if m < len(self._beta_pows):
-            return self.from_poly(self._beta_pows[m])
+            return AlgElement(self, self._beta_pows[m])
         return self.beta**m
 
     def __eq__(self, other):
@@ -153,26 +151,32 @@ class EtaleAlgebra:
 
 
 class AlgElement:
-    __slots__ = ("A", "coords")
+    __slots__ = ("A", "_poly")
 
-    def __init__(self, algebra, coords):
+    def __init__(self, algebra, poly):
         self.A = algebra
-        self.coords = coords
+        self._poly = poly
 
     def poly(self) -> Poly:
-        return Poly(self.coords)
+        return self._poly
+
+    @property
+    def coords(self):
+        """The coordinates in the power basis, as n Fractions."""
+        cs = self._poly.coeffs
+        return cs + (Fraction(0),) * (self.A.n - len(cs))
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self._poly
 
     def __eq__(self, other):
         if isinstance(other, AlgElement):
-            return self.A == other.A and self.coords == other.coords
+            return self.A == other.A and self._poly == other._poly
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.A.g, self.coords))
+        return hash((self.A.g, self._poly))
 
     def _coerce(self, other):
         if isinstance(other, AlgElement):
@@ -182,13 +186,12 @@ class AlgElement:
         return self.A.from_rational(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return AlgElement(self.A, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return AlgElement(self.A, self._poly + self._coerce(other)._poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgElement(self.A, tuple(-a for a in self.coords))
+        return AlgElement(self.A, -self._poly)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -198,10 +201,8 @@ class AlgElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return AlgElement(self.A, tuple(a * c for a in self.coords))
-        o = self._coerce(other)
-        return self.A.from_poly(self.poly() * o.poly())
+            return AlgElement(self.A, self._poly * other)
+        return self.A.from_poly(self._poly * self._coerce(other)._poly)
 
     __rmul__ = __mul__
 
@@ -223,27 +224,26 @@ class AlgElement:
     def mult_matrix(self):
         """Matrix of multiplication by self in the power basis (columns a*beta^j).
 
-        Each column is the last one times beta: shifted up one place, less its
-        top coordinate times the monic g.
+        Each column is the last one times beta: its integer numerators shifted up
+        one place, less its top coordinate times the monic g (as in _beta_pows).
         """
-        g = self.A.g.coeffs
-        col = self.coords
-        cols = [col]
-        for _ in range(self.A.n - 1):
-            top = col[-1]
-            col = (Fraction(0),) + col[:-1]
+        n, G, E = self.A.n, self.A.g.num, self.A.g.den
+        num, den = [*self._poly.num, *[0] * (n - len(self._poly.num))], self._poly.den
+        cols = [[Fraction(c, den) for c in num]]
+        for _ in range(n - 1):
+            top, num = num[-1], [0, *num[:-1]]
             if top:
-                col = tuple(c - top * gc for c, gc in zip(col, g))
-            cols.append(col)
+                num, den = [E * c - top * gc for c, gc in zip(num, G)], den * E
+            cols.append([Fraction(c, den) for c in num])
         return [list(row) for row in zip(*cols)]
 
     def trace(self, shift=0) -> Fraction:
         """Tr(beta^shift * self) for 0 <= shift < 2n, a dot product with power sums."""
         p = self.A.power_sums[shift:]
-        return sum(map(mul, self.coords, p), Fraction(0))
+        return sum(map(mul, self._poly.coeffs, p), Fraction(0))
 
     def norm(self) -> Fraction:
-        return resultant(self.A.g, self.poly())
+        return resultant(self.A.g, self._poly)
 
     def charpoly(self) -> Poly:
         """det(x - mult-by-self); equals Res_y(g(y), x - a(y)) for monic g."""
@@ -259,7 +259,7 @@ class AlgElement:
             x = mat_solve(self.mult_matrix(), [1] + [0] * (self.A.n - 1))
         except DomainError:
             raise DomainError("element is not invertible") from None
-        return AlgElement(self.A, tuple(x))
+        return AlgElement(self.A, Poly(x))
 
     def __repr__(self):
         return "AlgElement(%s)" % (tuple(str(c) for c in self.coords),)

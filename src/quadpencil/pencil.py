@@ -57,22 +57,19 @@ class SymPair:
 class OrbitParam:
     """(alpha, t) with alpha a unit of an etale algebra and t a nonzero rational."""
 
-    __slots__ = ("algebra", "alpha", "t")
+    __slots__ = ("algebra", "alpha", "t", "f0")
 
     def __init__(self, algebra, alpha, t):
         t = Fraction(t)
         if t == 0:
             raise DomainError("t must be nonzero")
-        if not alpha.is_unit:
+        norm = alpha.norm()
+        if norm == 0:
             raise DomainError("alpha must be invertible")
         self.algebra = algebra
         self.alpha = alpha
         self.t = t
-
-    @property
-    def f0(self):
-        """The leading coefficient forced by t^2 = f0 N(alpha)."""
-        return self.t**2 / self.alpha.norm()
+        self.f0 = t**2 / norm  # the leading coefficient forced by t^2 = f0 N(alpha)
 
     def form(self) -> BinaryForm:
         return BinaryForm.from_monic_part(self.f0, self.algebra.g)
@@ -185,11 +182,10 @@ def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
     krylov, dK = _cyclic_vector(S, seed)
     Am = [sum(map(mul, row, krylov[0])) for row in A]
     moments = [Fraction(sum(map(mul, Am, v)), D * d**k) for k, v in enumerate(krylov)]
-    kappa = euler_trace_solve(L, moments)
-    alpha = kappa.inverse()
     t = Fraction(d ** (n * (n - 1) // 2), dK)
-    assert t * t == f.f0 * alpha.norm()
-    return OrbitParam(L, alpha, t)
+    p = OrbitParam(L, euler_trace_solve(L, moments).inverse(), t)
+    assert p.f0 == f.f0
+    return p
 
 
 def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
@@ -205,7 +201,7 @@ def param_to_pencil(f: BinaryForm, p: OrbitParam) -> SymPair:
     L = p.algebra
     if L.g != g:
         raise DomainError("parameter algebra does not match the form")
-    if p.t**2 != f.f0 * p.alpha.norm():
+    if p.f0 != f.f0:
         raise DomainError("t^2 = f0 N(alpha) violated")
     n = f.n
     w = (p.alpha * L.from_poly(g.derivative())).inverse()

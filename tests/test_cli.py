@@ -195,6 +195,17 @@ def test_exit_code_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_selftest_refuses_stripped_asserts():
+    # its criteria are asserts: under -O it would print "pass" for each unchecked
+    src = os.path.dirname(os.path.dirname(quadpencil.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-m", "quadpencil.cli", "selftest"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("domain error:")
+
+
 def test_singular_ideal_is_a_domain_error(capsys):
     payload = '{"ideal": {"den": 1, "mat": [[0,0,0],[0,0,0],[0,0,0]], "eps": 1}, "alpha": ["1"]}'
     rc, out, err = run(capsys, "integral", "wood", "--f", "1,0,0,-2", "--json", payload)

@@ -192,17 +192,26 @@ def test_sqrt_deterministic():
     assert sqrt_in_algebra(A, a) == sqrt_in_algebra(A, a)
 
 
-def rand_algebra(rng, n):
-    """Integral, non-integral or reducible monic squarefree g of degree n."""
-    kind = rng.randrange(3)
-    if kind == 2 and n >= 2:
+def rand_algebra(rng, n, kind=None):
+    """Integral (kind 0), non-integral (1) or reducible (2) monic squarefree g
+    of degree n; a random kind when none is given."""
+    which = rng.randrange(3) if kind is None else kind
+    if which == 2 and n >= 2:
         k = rng.randint(1, n - 1)
         g = random_monic_separable(rng, k) * random_monic_separable(rng, n - k)
-    elif kind == 1:
+    elif which == 1:
         g = Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] + [1])
     else:
         g = random_monic_separable(rng, n)
-    return EtaleAlgebra(g) if is_squarefree(g) else rand_algebra(rng, n)
+    return EtaleAlgebra(g) if is_squarefree(g) else rand_algebra(rng, n, kind)
+
+
+def rand_non_integral(rng, n):
+    """An algebra whose monic g has a coefficient that is not an integer."""
+    while True:
+        A = rand_algebra(rng, n, 1)
+        if A.g.den > 1:
+            return A
 
 
 def rand_sparse(rng, A):
@@ -217,6 +226,12 @@ def test_mult_matrix_matches_column_products():
         for _ in range(4):
             A = rand_algebra(rng, n)
             for a in (rand_sparse(rng, A), A.zero, A.one, A.beta_pow(n - 1)):
+                assert repr(a.mult_matrix()) == repr(reference_mult_matrix(a)), (A, a)
+    # the shifted integer columns carry g's denominator
+    for n in range(1, 9):
+        for _ in range(3):
+            A = rand_non_integral(rng, n)
+            for a in (rand_sparse(rng, A), A.beta_pow(n - 1), A.beta_pow(2 * n - 2)):
                 assert repr(a.mult_matrix()) == repr(reference_mult_matrix(a)), (A, a)
 
 
@@ -235,6 +250,52 @@ def test_inverse_matches_euclid_reference():
             got = a.inverse()
             assert repr(got.coords) == repr(want.coords), (A, a)
             assert a * got == A.one
+    for n in range(1, 9):
+        for _ in range(3):
+            A = rand_non_integral(rng, n)
+            a = rand_unit(rng, A)
+            got = a.inverse()
+            assert repr(got.coords) == repr(reference_alg_inverse(a).coords), (A, a)
+            assert a * got == got * a == A.one
+
+
+def test_one_reduced_representative():
+    """However an element is built, one class compares and hashes equal, and
+    coords is its length-n Fraction view."""
+    rng = random.Random(56)
+    for n in range(1, 9):
+        for kind in (0, 1, 2):
+            A = rand_algebra(rng, n, kind)
+            a, b = rand_sparse(rng, A), rand_unit(rng, A)
+            trimmed = list(a.coords)
+            while trimmed and trimmed[-1] == 0:
+                trimmed.pop()
+            q = Poly([rng.randint(-3, 3) for _ in range(rng.randint(0, n))] + [1])
+            same = [
+                A.element(trimmed),
+                A.element(a.coords),
+                A.element(c for c in a.coords),
+                A.element([int(c) if c.denominator == 1 else str(c) for c in trimmed]),
+                A.from_poly(a.poly() + q * A.g),
+                (a + b) - b,
+                -(-a),
+                a + A.zero,
+                a * A.one,
+                (a * 3) * Fraction(1, 3),
+                (a * b) * b.inverse(),
+            ]
+            for x in same:
+                assert x == a and hash(x) == hash(a), (A, a, x)
+                assert x.poly() == a.poly() and x.poly().degree < n
+                assert len(x.coords) == n and all(type(c) is Fraction for c in x.coords)
+                assert x.coords == a.coords
+            zero = A.element([0] * n)
+            assert zero == A.zero == a - a and hash(zero) == hash(A.zero)
+            assert zero.is_zero and not A.one.is_zero
+            assert A.zero.coords == (Fraction(0),) * n
+            assert A.beta == A.from_poly(X) == A.beta_pow(1)
+            with pytest.raises(DomainError, match="longer than the degree"):
+                A.element([0] * (n + 1))
 
 
 def test_inverse_of_zero_divisor_raises():
