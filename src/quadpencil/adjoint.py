@@ -39,34 +39,32 @@ class AdjointInvariants:
 
 
 def _square(*Ts):
-    """The Fraction matrices of Ts; DomainError unless square, nonempty, one size."""
-    Ms = [mat(T) for T in Ts]
-    n = len(Ms[0])
-    if not n or any(len(M) != n or any(len(row) != n for row in M) for M in Ms):
+    """(D, D T as integer rows) for each T, cleared once; DomainError unless
+    square, nonempty, one size."""
+    Ms = [_clear(mat(T)) for T in Ts]
+    n = len(Ms[0][1])
+    if not n or any(len(M) != n or any(len(row) != n for row in M) for _, M in Ms):
         raise DomainError("expected nonempty square matrices of one size")
     return Ms
 
 
-def _krylov(T, count):
-    """(D, [D^j T^j e_n for j < count]) on integers, D the lcm of T's denominators."""
-    D, B = _clear(T)
-    v = [0] * (len(B) - 1) + [1]
-    vs = [v]
+def _krylov(B, count):
+    """[B^j e_n for j < count] on the integer rows B."""
+    vs = [[0] * (len(B) - 1) + [1]]
     while len(vs) < count:
-        v = [sum(map(mul, row, v)) for row in B]
-        vs.append(v)
-    return D, vs
+        vs.append([sum(map(mul, row, vs[-1])) for row in B])
+    return vs
 
 
 def adjoint_invariants(T) -> AdjointInvariants:
-    """c from `charpoly`, and a_j = (T^j)_(n,n), the last entry of the
-    Krylov vector T^j e_n."""
-    T, = _square(T)
-    n = len(T)
-    P = charpoly(T)  # monic, low-order-first coefficients
-    c = [(-1) ** i * P[n - i] for i in range(1, n + 1)]
-    D, vs = _krylov(T, n)
-    a = [Fraction(v[n - 1], D ** j) for j, v in enumerate(vs) if j]
+    """c from `charpoly` of B = D T, whose coefficient of x^(n-i) is D^i
+    times T's, and a_j = (T^j)_(n,n), the last entry of the Krylov vector
+    B^j e_n over D^j."""
+    (D, B), = _square(T)
+    n = len(B)
+    P = charpoly(B)  # monic, integer numerators low-order first over P.den
+    c = [Fraction((-1) ** i * P.num[n - i], P.den * D ** i) for i in range(1, n + 1)]
+    a = [Fraction(v[n - 1], D ** j) for j, v in enumerate(_krylov(B, n)) if j]
     return AdjointInvariants(c, a)
 
 
@@ -82,11 +80,12 @@ def _moments(inv: AdjointInvariants, count):
 
 def regularity_D(T) -> Fraction:
     """det[(T^(i+j))_(n,n)] for 0 <= i, j <= n-1, computed from powers of T:
-    the last entries of the Krylov vectors T^k e_n."""
-    T, = _square(T)
-    n = len(T)
-    D, vs = _krylov(T, 2 * n - 1)
-    return det([[Fraction(vs[i + j][-1], D ** (i + j)) for j in range(n)] for i in range(n)])
+    the last entries of the Krylov vectors (D T)^k e_n, D^(i+j) times the
+    entries, so the integer determinant is D^(n(n-1)) times the rational one."""
+    (D, B), = _square(T)
+    n = len(B)
+    vs = _krylov(B, 2 * n - 1)
+    return det([[vs[i + j][-1] for j in range(n)] for i in range(n)]) / D ** (n * (n - 1))
 
 
 def d_determinant(inv: AdjointInvariants) -> Fraction:
@@ -131,22 +130,23 @@ def adjoint_conjugator(T, Tprime):
     Cayley-Hamilton. Then g maps the Krylov basis (T^j e_n) to (T'^j e_n):
     g^T solves Q^T X = Q'^T, one integer Bareiss solve.
     """
-    T, Tp = _square(T, Tprime)
-    n = len(T)
+    (D, B), (Dp, Bp) = _square(T, Tprime)
+    n = len(B)
     inv1 = adjoint_invariants(T)
-    if inv1 != adjoint_invariants(Tp):
+    if inv1 != adjoint_invariants(Tprime):
         raise DomainError("invariants differ: matrices are not in the same orbit")
     if d_determinant(inv1) == 0:
         raise DomainError("irregular: moment determinant vanishes")
-    D, vs = _krylov(T, n)
-    Dp, vps = _krylov(Tp, n)
+    vs, vps = _krylov(B, n), _krylov(Bp, n)
     # row j of [Q^T | Q'^T], times (D D')^j
     M = [[x * Dp ** j for x in v] + [x * D ** j for x in vp]
          for j, (v, vp) in enumerate(zip(vs, vps))]
     pivots, d = _bareiss(M, n, True)
     assert len(pivots) == n
     g = [[Fraction(M[j][n + i], d) for j in range(n)] for i in range(n)]
-    assert mat_mul(g, T) == mat_mul(Tp, g)
+    # g T = T' g, times D D'
+    assert (mat_mul(g, [[Dp * x for x in r] for r in B])
+            == mat_mul([[D * x for x in r] for r in Bp], g))
     assert all(g[i][n - 1] == (1 if i == n - 1 else 0) for i in range(n))
     assert all(g[n - 1][j] == (1 if j == n - 1 else 0) for j in range(n))
     return g
@@ -160,11 +160,9 @@ def conjugator_is_unique(T, Tprime) -> bool:
     and B' = D' T', gives n^2 integer rows in them. The kernel is trivial
     iff a fraction-free elimination finds (n-1)^2 pivots.
     """
-    T, Tp = _square(T, Tprime)
-    n = len(T)
+    (D, B), (Dp, Bp) = _square(T, Tprime)
+    n = len(B)
     m = n - 1
-    D, B = _clear(T)
-    Dp, Bp = _clear(Tp)
     rows = []
     for i in range(n):
         for j in range(n):

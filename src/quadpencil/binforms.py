@@ -68,8 +68,5 @@ class BinaryForm:
             raise DomainError("g must be monic")
         return cls([f0 * g[g.degree - i] for i in range(g.degree + 1)])
 
-    def scaled(self, c):
-        return BinaryForm([c * a for a in self.coeffs])
-
     def __repr__(self):
         return "BinaryForm(%s)" % (tuple(str(c) for c in self.coeffs),)

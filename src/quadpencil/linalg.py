@@ -1,19 +1,16 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
-Matrices are plain lists of lists of Fractions (rows); everything is exact.
-Every kernel runs on Python integers and forms Fractions only for what it
-returns, which avoids a gcd per Fraction operation. `mat_mul` and the
-eliminations clear denominators row by row; `det`, `solve`, `inverse` and
-`nullspace` share one fraction-free elimination loop, `_bareiss`.
-`congruence`, `vec_mat` and `charpoly` clear each operand once
-(`_clear`), and `congruence` and `charpoly` multiply with `_int_mul`; `det`
-takes a matrix of ints as it is. `hnf` inserts rows one at a time into an
-integer echelon basis by Euclid's algorithm on row pairs, then reduces above
-the pivots.
+Matrices are lists of rows of ints or Fractions. Inside, a matrix is integer
+rows over one denominator: `_clear` makes them once (a matrix of ints passes
+through), kernels run on Python integers, and `_fractions` builds what they
+return. `det`, `solve`, `inverse` and `nullspace` share the fraction-free
+`_bareiss`; `congruence` is `_congruence`, which `SymPair` and `QuadForm`
+apply to their own rows. Mismatched shapes raise DomainError. `hnf` is
+incremental, by Euclid's algorithm on row pairs.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DomainError
@@ -32,23 +29,36 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _int_rows(A):
-    """[(d, d * row)] for each row, d the lcm of its denominators: integer rows."""
-    out = []
-    for row in A:
-        d = lcm(*(x.denominator for x in row))
-        out.append((d, [x.numerator * (d // x.denominator) for x in row]))
-    return out
+def _clear(A):
+    """(D, D * A as new integer rows), D the lcm of all denominators of the
+    list of rows A; a matrix of ints comes back as (1, a copy of its rows)."""
+    if all(type(x) is int for row in A for x in row):
+        return 1, [list(row) for row in A]
+    D = lcm(*(x.denominator for row in A for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in A]
+
+
+def _fractions(den, rows):
+    """The Fraction matrix of integer rows over den, as `_clear` leaves them."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def _require(ok):
+    if not ok:
+        raise DomainError("matrix shapes do not match")
+
+
+def _is_square(A):
+    return set(map(len, A)) <= {len(A)}
 
 
 def mat_mul(A, B):
     """A B: each entry is an integer row of A times an integer column of B,
     over the product of their two denominators."""
-    if any(len(row) != len(B) for row in A):
-        raise DomainError("matrix shapes do not match")
-    cols = _int_rows(zip(*B))
-    return [[Fraction(sum(map(mul, ra, cb)), da * db) for db, cb in cols]
-            for da, ra in _int_rows(A)]
+    _require(all(len(row) == len(B) for row in A))
+    (da, A), (db, B) = _clear(A), _clear(B)
+    cols = list(zip(*B))
+    return [[Fraction(sum(map(mul, row, col)), da * db) for col in cols] for row in A]
 
 
 def _int_mul(A, B):
@@ -59,6 +69,7 @@ def _int_mul(A, B):
 
 def vec_mat(v, A):
     """v A, with v and A each cleared once."""
+    _require(len(v) == len(A) and all(len(row) == len(A[0]) for row in A))
     (dv, (v,)), (da, A) = _clear([v]), _clear(A)
     return [Fraction(sum(map(mul, v, col)), da * dv) for col in zip(*A)]
 
@@ -102,30 +113,19 @@ def _bareiss(M, ncols, jordan):
 
 
 def det(A):
-    """Determinant by Bareiss elimination on integer rows.
-
-    Entries are ints or Fractions. A matrix of ints is eliminated as it is;
-    otherwise each row is scaled to integers by the lcm of its denominators
-    and the integer determinant is divided by the product of those scales.
-    A caller that has cleared the denominators of a whole matrix once
-    passes its int entries.
-    """
-    scale = 1
-    if all(type(x) is int for row in A for x in row):
-        M = [list(row) for row in A]
-    else:
-        M = []
-        for d, row in _int_rows(A):
-            scale *= d
-            M.append(row)
+    """Determinant by Bareiss elimination on the integer rows D * A:
+    det(D A) / D^n."""
+    _require(_is_square(A))
+    D, M = _clear(A)
     pivots, last = _bareiss(M, len(M), False)
-    return Fraction(last, scale) if len(pivots) == len(M) else Fraction(0)
+    return Fraction(last, D ** len(M)) if len(pivots) == len(M) else Fraction(0)
 
 
 def solve(A, b):
     """Solve A x = b for square invertible A; b a vector."""
     n = len(A)
-    M = [row for _, row in _int_rows([*row, x] for row, x in zip(A, b))]
+    _require(_is_square(A) and len(b) == n)
+    _, M = _clear([[*row, x] for row, x in zip(A, b)])
     pivots, d = _bareiss(M, n, True)
     if len(pivots) < n:
         raise DomainError("singular matrix in solve")
@@ -134,8 +134,8 @@ def solve(A, b):
 
 def inverse(A):
     n = len(A)
-    M = [row for _, row in _int_rows(
-        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(A))]
+    _require(_is_square(A))
+    _, M = _clear([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(A)])
     pivots, d = _bareiss(M, n, True)
     if len(pivots) < n:
         raise DomainError("matrix not invertible")
@@ -148,7 +148,7 @@ def nullspace(A):
     if not A:
         return []
     n = len(A[0])
-    M = [row for _, row in _int_rows(A)]
+    _, M = _clear(A)
     pivots, d = _bareiss(M, n, True)
     basis = []
     for fc in range(n):
@@ -162,17 +162,12 @@ def nullspace(A):
     return basis
 
 
-def _clear(A):
-    """(D, D * A as integer rows), D the lcm of all denominators of A."""
-    D = lcm(*(x.denominator for row in A for x in row))
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in A]
-
-
 def charpoly(A) -> Poly:
     """det(x*I - A) as a monic Poly, by the Faddeev-LeVerrier recurrence on
     B = D*A, D the lcm of the denominators: M_k = B (M_(k-1) + c_(k-1) I) and
     c_k = -tr(M_k) / k, exact on integers. A's coefficient k is c_k / D^k."""
     n = len(A)
+    _require(_is_square(A))
     D, B = _clear(A)
     num = [0] * n + [D ** n]
     M, c = [[0] * n for _ in range(n)], 1
@@ -185,18 +180,27 @@ def charpoly(A) -> Poly:
     return _make(num, D ** n)
 
 
+def _congruence(U, den, *mats):
+    """(E, (U^T M U for M in mats)) for integer m x m rows M over den and a
+    rational m x k U: integer rows over E, the lcm of their denominators."""
+    e, U = _clear(U)
+    m, k = len(U), len(U[0]) if U else 0
+    _require(all(len(row) == k for row in U)
+             and all(len(M) == m and _is_square(M) for M in mats))
+    Ut = list(zip(*U))
+    out = [_int_mul(Ut, _int_mul(M, U)) for M in mats]
+    g = gcd(den * e * e, *(x for M in out for row in M for x in row))
+    return den * e * e // g, tuple([[x // g for x in row] for row in M] for M in out)
+
+
 def congruence(U, A):
     """U^T A U for an m x k U and an m x m A, with U and A each cleared once."""
-    (du, U), (da, A) = _clear(U), _clear(A)
-    den = du * du * da
-    return [[Fraction(x, den) for x in row] for row in _int_mul(transpose(U), _int_mul(A, U))]
+    den, (R,) = _congruence(U, *_clear(A))
+    return _fractions(den, R)
 
 
 def is_symmetric(A):
-    n = len(A)
-    return all(len(r) == n for r in A) and all(
-        A[i][j] == A[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    return _is_square(A) and all(A[i][j] == A[j][i] for i in range(len(A)) for j in range(i))
 
 
 def hnf(rows):

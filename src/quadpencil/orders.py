@@ -15,8 +15,8 @@ back-substitution. Ideals are stored with a global denominator and an integer
 HNF basis in R_f coordinates, plus an orientation sign. Products of ideals and
 scalars multiply those integer rows through the table, one dot product per
 coordinate over the table columns precomputed with the order, then take the
-HNF. An HNF basis is upper triangular with a positive diagonal, so membership
-is integer forward substitution; other bases fall back to a solve.
+HNF. Membership is integer forward substitution on the HNF of the basis,
+which is upper triangular with a positive diagonal.
 The module pair of (I, alpha) reads off the same table products: the
 zeta_(n-2) and zeta_(n-1) coordinates of b_i b_j / alpha are its coordinates
 on the last two vectors of the natural basis of I_f(n-3), whose other vectors
@@ -31,7 +31,7 @@ from operator import mul
 from .binforms import BinaryForm
 from .errors import DomainError
 from .etale import EtaleAlgebra
-from .linalg import _clear, det, hnf, solve, transpose, vec_mat
+from .linalg import _clear, det, hnf, vec_mat
 from .pencil import SymPair, invariant_binary_form
 
 
@@ -126,18 +126,17 @@ class OrientedIdeal:
         return self.eps * Fraction(det(self.mat), Fraction(self.den) ** self.order.n)
 
     def contains(self, elem) -> bool:
-        """Is elem in the lattice: y mat = den x integral for its zeta
-        coordinates x? When mat is upper triangular with a positive diagonal,
-        as every HNF basis of full rank is, y comes by integer forward
+        """Is elem in the lattice: y H = den x integral for its zeta
+        coordinates x, H = hnf(mat) spanning the same lattice? H is upper
+        triangular with a positive diagonal, so y comes by integer forward
         substitution and the first inexact division says no."""
         x = self.order.to_basis(elem)
-        M = self.mat
-        if not all(row[i] > 0 and not any(row[:i]) for i, row in enumerate(M)):
-            y = solve(transpose(M), [self.den * c for c in x])
-            return all(c.denominator == 1 for c in y)
+        H = hnf(self.mat)
+        if len(H) != len(x):
+            raise DomainError("ideal basis is not full rank")
         d, (v,) = _clear([x])
         y = []
-        for c, col in zip(v, zip(*M)):
+        for c, col in zip(v, zip(*H)):
             q, r = divmod(self.den * c - d * sum(map(mul, y, col)), d * col[len(y)])
             if r:
                 return False

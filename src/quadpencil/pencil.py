@@ -5,6 +5,8 @@ binary form f(x,y) = (-1)^(n(n-1)/2) det(xA - yB). Stable pencils (f0 != 0,
 disc f != 0) correspond to pairs (alpha, t) with alpha a unit in
 L = Q[x]/(g), f(x,1) = f0 g(x), and t^2 = f0 N(alpha); two pairs give the
 same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
+A pair is held as integer rows over one denominator, on which the invariant
+form, T = A^(-1) B and the congruence action are computed.
 """
 
 from fractions import Fraction
@@ -23,34 +25,39 @@ from .intutil import (
     rational_sqrt,
     shell_prefixes,
 )
-from .linalg import _bareiss, _clear, _int_mul, charpoly, congruence, det, is_symmetric, transpose
+from .linalg import (
+    _bareiss, _clear, _congruence, _fractions, _int_mul, charpoly, det, is_symmetric, mat,
+)
 from .polys import _make, discriminant, real_root_count
 
 
 class SymPair:
-    """A pair of symmetric n x n rational matrices."""
+    """A pair of symmetric n x n rational matrices, held as integer rows
+    `ints` = (D A, D B) over `den` = D, the lcm of the entries' denominators;
+    `A` and `B` read them as Fraction matrices."""
 
-    __slots__ = ("A", "B")
+    __slots__ = ("den", "ints")
 
     def __init__(self, A, B):
-        A = [[Fraction(x) for x in row] for row in A]
-        B = [[Fraction(x) for x in row] for row in B]
-        if len(A) != len(B) or not is_symmetric(A) or not is_symmetric(B):
+        A, B = mat(A), mat(B)
+        self.den, rows = _clear(A + B)
+        self.ints = (rows[:len(A)], rows[len(A):])
+        if len(A) != len(B) or not all(map(is_symmetric, self.ints)):
             raise DomainError("need two symmetric matrices of equal size")
-        self.A = A
-        self.B = B
 
-    @property
-    def n(self):
-        return len(self.A)
+    A = property(lambda self: _fractions(self.den, self.ints[0]))
+    B = property(lambda self: _fractions(self.den, self.ints[1]))
+    n = property(lambda self: len(self.ints[0]))
 
     def transformed(self, M):
-        """(M^T A M, M^T B M), the congruence action."""
-        return SymPair(congruence(M, self.A), congruence(M, self.B))
+        """(M^T A M, M^T B M), the congruence action, on the integer rows."""
+        out = object.__new__(SymPair)
+        out.den, out.ints = _congruence(M, self.den, *self.ints)
+        return out
 
     def __eq__(self, other):
         if isinstance(other, SymPair):
-            return self.A == other.A and self.B == other.B
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
 
@@ -70,9 +77,6 @@ class OrbitParam:
         self.alpha = alpha
         self.t = t
         self.f0 = t**2 / norm  # the leading coefficient forced by t^2 = f0 N(alpha)
-
-    def form(self) -> BinaryForm:
-        return BinaryForm.from_monic_part(self.f0, self.algebra.g)
 
     def __eq__(self, other):
         if isinstance(other, OrbitParam):
@@ -119,17 +123,15 @@ def _form(D, A, B) -> BinaryForm:
 
 def invariant_binary_form(pair: SymPair) -> BinaryForm:
     """f(x,y) = (-1)^(n(n-1)/2) det(xA - yB), coefficients f0..fn."""
-    D, AB = _clear(pair.A + pair.B)
-    return _form(D, AB[:pair.n], AB[pair.n:])
+    return _form(pair.den, *pair.ints)
 
 
 def _stable_T(pair: SymPair):
-    """(f, D, A', B', d, d T) for a stable pencil, with A' = DA and B' = DB
-    integer rows (D the lcm of their denominators) and T = A^(-1) B: one
-    Jordan elimination of [A' | B'] leaves d I on the left, d T on the right."""
+    """(f, D, A', B', d, d T) for a stable pencil, with (D, (A', B')) its
+    integer rows and T = A^(-1) B: one Jordan elimination of [A' | B']
+    leaves d I on the left, d T on the right."""
     n = pair.n
-    D, AB = _clear(pair.A + pair.B)
-    A, B = AB[:n], AB[n:]
+    D, (A, B) = pair.den, pair.ints
     f = _form(D, A, B)
     _require_stable(f)
     M = [ra + rb for ra, rb in zip(A, B)]
@@ -288,9 +290,10 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
     every factor splits linearly, giving order 2^(n-1).
 
     Each E_i(T) comes from Horner's rule on the integer matrix d T, all over
-    one denominator C; the group laws are checked on the integer C M.
+    one denominator C; each element M / C is checked to fix the pair under
+    `transformed`, to square to I and to have determinant 1.
     """
-    f, _, A, B, d, S = _stable_T(pair)
+    f, *_, d, S = _stable_T(pair)
     n = pair.n
     L = EtaleAlgebra(f.monic_part())
     degs = [gi.degree for gi in L.factors]
@@ -327,11 +330,10 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
         if parity != 1:
             continue
         M = combination(signs)
-        assert _int_mul(transpose(M), _int_mul(A, M)) == [[C2 * x for x in row] for row in A]
-        assert _int_mul(transpose(M), _int_mul(B, M)) == [[C2 * x for x in row] for row in B]
+        elements.append(_fractions(C, M))
+        assert pair.transformed(elements[-1]) == pair
         assert _int_mul(M, M) == [[C2 * (i == j) for j in range(n)] for i in range(n)]
         assert det(M) == C**n
-        elements.append([[Fraction(x, C) for x in row] for row in M])
 
     # generating sign flips: kernel basis of s -> sum deg_i s_i over F_2
     odd = [i for i, dg in enumerate(degs) if dg % 2]
@@ -344,7 +346,7 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
         if odd and degs[i] % 2:
             bits[odd[0]] = 1
         M = combination([(-1) ** b for b in bits])
-        gens.append([[Fraction(x, C) for x in row] for row in M])
+        gens.append(_fractions(C, M))
 
     order = 2 ** (r - 1) if odd else 2**r
     assert len(elements) == order

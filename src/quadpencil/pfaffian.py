@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DomainError
-from .linalg import _clear, det, mat
+from .linalg import _clear, _fractions, det, mat
 
 MONOMIALS = ("x2", "y2", "z2", "xy", "xz", "yz")
 
@@ -73,12 +73,9 @@ class SkewTriple:
         self.den, rows = _clear(mats)
         self.ints = (rows[:5], rows[5:10], rows[10:])
 
-    def _fractions(self, k):
-        return [[Fraction(x, self.den) for x in row] for row in self.ints[k]]
-
-    A = property(lambda self: self._fractions(0))
-    B = property(lambda self: self._fractions(1))
-    C = property(lambda self: self._fractions(2))
+    A = property(lambda self: _fractions(self.den, self.ints[0]))
+    B = property(lambda self: _fractions(self.den, self.ints[1]))
+    C = property(lambda self: _fractions(self.den, self.ints[2]))
 
     def transformed(self, g):
         """The action v -> (g A g^T, g B g^T, g C g^T): with G = e g cleared

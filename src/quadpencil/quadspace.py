@@ -1,12 +1,12 @@
 """Rational quadratic spaces and their local-global invariants.
 
-Forms are symmetric Gram matrices; q(w) = w^T G w. Places are encoded as
-integers: 0 for the real place, otherwise a prime p. Local data (Hilbert
-symbols, Hasse invariants) is computed on a squarefree-integer
-diagonalization, found by fraction-free elimination; the valuation of a
-squarefree entry at p is whether p divides it. Global questions (isotropy,
-equivalence) use the local-global principle over the finite certified place
-set {0, 2, primes of the diagonal}.
+Forms are symmetric Gram matrices G, held as integer rows over one
+denominator; q(w) = w^T G w. Places are encoded as integers: 0 for the real
+place, otherwise a prime p. Local data (Hilbert symbols, Hasse invariants) is
+computed on a squarefree-integer diagonalization, found by fraction-free
+elimination; the valuation of a squarefree entry at p is whether p divides
+it. Global questions (isotropy, equivalence) use the local-global principle
+over the finite certified place set {0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
@@ -22,37 +22,46 @@ from .intutil import (
     shell_prefixes,
     squarefree_part,
 )
-from .linalg import _clear, _int_mul, congruence, det, is_symmetric, mat, transpose
+from .linalg import _clear, _congruence, _fractions, _int_mul, det, is_symmetric, mat, vec_mat
 
 REAL_PLACE = 0
 
 
 class QuadForm:
+    """A symmetric Gram matrix G, held as integer rows `ints` = D G over
+    `den` = D, the lcm of its entries' denominators; `gram` reads them as a
+    Fraction matrix."""
+
+    __slots__ = ("den", "ints")
+
     def __init__(self, gram):
-        G = mat(gram)
-        if not is_symmetric(G):
+        self.den, self.ints = _clear(mat(gram))
+        if not is_symmetric(self.ints):
             raise DomainError("Gram matrix must be symmetric")
-        self.gram = G
-        self.dim = len(G)
+
+    gram = property(lambda self: _fractions(self.den, self.ints))
+    dim = property(lambda self: len(self.ints))
 
     def value(self, w):
-        w = [Fraction(x) for x in w]
-        return sum(w[i] * self.gram[i][j] * w[j]
-                   for i in range(self.dim) for j in range(self.dim))
+        e, (v,) = _clear(mat([w]))
+        return Fraction(sum(map(mul, vec_mat(v, self.ints), v)), self.den * e * e)
 
     def det(self):
-        return det(self.gram)
+        return det(self.ints) / self.den ** self.dim
 
     @property
     def is_nondegenerate(self):
         return self.det() != 0
 
     def transformed(self, P):
-        return QuadForm(congruence(P, self.gram))
+        """P^T G P, the congruence action, on the integer rows."""
+        out = object.__new__(QuadForm)
+        out.den, (out.ints,) = _congruence(P, self.den, self.ints)
+        return out
 
     def __eq__(self, other):
         if isinstance(other, QuadForm):
-            return self.gram == other.gram
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
     def __repr__(self):
@@ -76,7 +85,7 @@ def diagonalize(q: QuadForm):
     n = q.dim
     if not n:
         return [], []
-    D, G = _clear(q.gram)
+    D, G = q.den, [row[:] for row in q.ints]
     P = [[int(i == j) for j in range(n)] for i in range(n)]
     s = [1] * n
 
@@ -112,7 +121,7 @@ def diagonalize(q: QuadForm):
             if G[i][j] != 0:
                 combine(j, i, G[i][i], -G[i][j])
     # P^T (D G) P = diag(D s_i^2 d_i): with c^2 d_i = e_i, P'^T G P' = diag(e_i)
-    assert _int_mul(transpose(P), _int_mul(_clear(q.gram)[1], P)) == [
+    assert _int_mul(zip(*P), _int_mul(q.ints, P)) == [
         [G[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
     entries, scales = [], []
     for i in range(n):
@@ -299,11 +308,10 @@ def gram_invariant(space: QuadForm, vectors) -> QuadForm:
     n = space.dim - 1
     if len(vectors) != n:
         raise DomainError("need dim - 1 vectors")
-    ws = [[Fraction(c) for c in w] for w in vectors]
-    for w in ws:
-        if len(w) != space.dim:
-            raise DomainError("vector of wrong length")
-    return QuadForm(congruence(transpose(ws), space.gram))
+    ws = mat(vectors)
+    if any(len(w) != space.dim for w in ws):
+        raise DomainError("vector of wrong length")
+    return space.transformed([[w[i] for w in ws] for i in range(space.dim)])
 
 
 def so_orbit_target(f: QuadForm, space: QuadForm):
@@ -317,13 +325,7 @@ def so_orbit_target(f: QuadForm, space: QuadForm):
     if space.dim != f.dim + 1:
         raise DomainError("ambient space must have dimension dim(f) + 1")
     c = squarefree_part(space.det() * f.det())
-    n = f.dim + 1
-    G = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(f.dim):
-        for j in range(f.dim):
-            G[i][j] = f.gram[i][j]
-    G[n - 1][n - 1] = Fraction(c)
-    target = QuadForm(G)
+    target = QuadForm([row + [0] for row in f.gram] + [[0] * f.dim + [c]])
     assert squarefree_part(target.det()) == squarefree_part(space.det())
     return target, forms_equivalent(target, space)
 

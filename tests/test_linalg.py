@@ -141,6 +141,30 @@ def test_mat_mul_rejects_mismatched_shapes():
             mat_mul(A, B)
 
 
+MISSHAPEN = {
+    "det": (det, [([[1, 2, 3], [4, 5, 6]],), ([[1, 2], [3]],), ([[1], [2]],)]),
+    "solve": (solve, [([[1, 0, 0], [0, 1, 0]], [1, 2]), ([[1]], [1, 2]),
+                      ([[1, 0], [0, 1]], [1]), ([[1, 0], [0]], [1, 2])]),
+    "inverse": (inverse, [([[1, 0, 5], [0, 1, 7]],), ([[1, 0], [0, 1], [1, 1]],),
+                          ([[1, 0], [0]],)]),
+    "charpoly": (charpoly, [([[1, 2, 3], [4, 5, 6]],), ([[1, 2], [3]],)]),
+    "vec_mat": (vec_mat, [([1, 2, 3], [[1, 2], [3, 4]]), ([1], [[1, 2], [3, 4]]),
+                          ([1, 2], [[1, 2], [3]])]),
+    "congruence": (congruence, [([[1, 2]], [[1, 0], [0, 1]]), ([[1], [2], [3]], [[1, 0], [0, 1]]),
+                                ([[1, 0], [0]], [[1, 0], [0, 1]]), ([[1, 0], [0, 1]], [[1, 0], [0]]),
+                                ([[1], [2]], [[1, 0, 0], [0, 1, 0]])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSHAPEN))
+def test_kernels_reject_mismatched_shapes(name):
+    # a DomainError, not an assert, so that python -O keeps the check
+    kernel, cases = MISSHAPEN[name]
+    for args in cases:
+        with pytest.raises(DomainError, match="^matrix shapes do not match$"):
+            kernel(*args)
+
+
 def wide_rat_mat(rng, m, n):
     """Rational entries over large and mixed denominators, some zero."""
     dens = [1, 2, 3, 7, 10, 999_983, 2**61 - 1]

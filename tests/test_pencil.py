@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -28,6 +29,8 @@ from util import (
     frac_det,
     random_monic_separable,
     random_param,
+    random_rational,
+    reference_congruence,
     reference_inverse,
     reference_invariant_form,
     reference_mat_vec,
@@ -83,6 +86,52 @@ def random_symmetric(rng, n, rational):
                 x = Fraction(rng.randint(-4, 4))
             M[i][j] = M[j][i] = x
     return M
+
+
+def assert_reduced(pair, A, B):
+    """pair holds the Fraction matrices A, B as integer rows over the lcm of
+    their denominators."""
+    assert pair.den == lcm(*(x.denominator for row in A + B for x in row))
+    assert pair.ints == ([[x * pair.den for x in row] for row in A],
+                         [[x * pair.den for x in row] for row in B])
+    assert (pair.A, pair.B) == (A, B)
+    assert all(type(x) is Fraction for row in pair.A + pair.B for x in row)
+
+
+def test_pair_held_as_integer_rows_over_one_denominator():
+    rng = random.Random(56)
+    A, B = [[2, -1], [-1, 0]], [[0, 3], [3, 5]]
+    for same in ((A, B), ([[Fraction(x) for x in r] for r in A], [[Fraction(x) for x in r] for r in B]),
+                 ([[str(x) for x in r] for r in A], [[str(x) for x in r] for r in B])):
+        pair = SymPair(*same)
+        assert (pair.den, pair.ints) == (1, (A, B))
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        A = random_symmetric(rng, n, rng.random() < 0.6)
+        B = random_symmetric(rng, n, rng.random() < 0.6)
+        pair = SymPair(A, B)
+        assert_reduced(pair, A, B)
+        strings = SymPair(*([[str(x) for x in row] for row in M] for M in (A, B)))
+        assert (strings.den, strings.ints) == (pair.den, pair.ints) and strings == pair
+
+
+def test_transformed_pair_matches_fraction_congruence():
+    rng = random.Random(57)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        pair = SymPair(random_symmetric(rng, n, True), random_symmetric(rng, n, False))
+        P = random_rational(rng, n, rng.randint(1, 6))
+        moved = pair.transformed(P)
+        assert_reduced(moved, reference_congruence(P, pair.A), reference_congruence(P, pair.B))
+        assert moved == SymPair(moved.A, moved.B)
+        P = random_rational(rng, n, n)
+        if frac_det(P) != 0:
+            back = pair.transformed(P).transformed(reference_inverse(P))
+            assert back == pair and back.den == pair.den
+    pair = SymPair(I2, ANTIDIAG2)
+    for P in ([[1, 2]], [[1], [2], [3]], [[1, 2], [3]]):
+        with pytest.raises(DomainError, match="matrix shapes do not match"):
+            pair.transformed(P)
 
 
 def test_invariant_form_matches_fraction_matrices():

@@ -1,9 +1,11 @@
 """Rational quadratic forms: diagonalization, local symbols, isotropy,
 equivalence, and even Clifford classes."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -31,10 +33,14 @@ from quadpencil.acceptance import _local_solvable
 from quadpencil.intutil import factorint, shell_prefixes
 
 from util import (
+    frac_det,
     random_invertible,
+    random_rational,
+    reference_congruence,
     reference_diagonalize,
     reference_hasse,
     reference_hilbert_symbol,
+    reference_inverse,
     reference_isotropy_witness,
 )
 
@@ -122,6 +128,67 @@ def test_diagonalize_matches_fraction_reference():
               [[0, Fraction(1, 3), 0, 0], [Fraction(1, 3), 0, 0, 0], [0, 0, 0, 5], [0, 0, 5, 0]]):
         q = QuadForm(G)
         assert outcome(diagonalize, q) == outcome(reference_diagonalize, q)
+
+
+def test_diagonalize_output_pinned_on_random_forms():
+    # sha256 of repr((entries, P)) over the random forms of the two tests
+    # above, as diagonalize gave them on Gram matrices stored as Fractions
+    h = hashlib.sha256()
+    rng = random.Random(81)
+    for _ in range(20):
+        h.update(repr(diagonalize(rand_form(rng, rng.randint(1, 5)))).encode())
+    rng = random.Random(86)
+    for n in range(1, 7):
+        for k in range(40):
+            q = rat_form(rng, n, zero_diagonal=k % 3 == 0)
+            h.update(repr(outcome(diagonalize, q)).encode())
+    assert h.hexdigest() == "05bdcff6c02cd84cfbc1b63b45091e7977c288ad3323d032932387a85d055b46"
+
+
+def assert_reduced(q, G):
+    """q holds the Fraction matrix G as integer rows over the lcm of its
+    denominators."""
+    assert q.den == lcm(*(x.denominator for row in G for x in row))
+    assert q.ints == [[x * q.den for x in row] for row in G]
+    assert q.gram == G and all(type(x) is Fraction for row in q.gram for x in row)
+
+
+def test_gram_held_as_integer_rows_over_one_denominator():
+    rng = random.Random(92)
+    G = [[2, -1, 0], [-1, 4, 3], [0, 3, 6]]
+    q = QuadForm(G)
+    assert (q.den, q.ints) == (1, G)
+    for same in ([[Fraction(x) for x in row] for row in G], [[str(x) for x in row] for row in G]):
+        assert (QuadForm(same).den, QuadForm(same).ints) == (1, G)
+    for n in range(1, 6):
+        for _ in range(10):
+            q = rat_form(rng, n, zero_diagonal=rng.random() < 0.3)
+            G = q.gram
+            assert_reduced(q, G)
+            for same in (QuadForm(G), QuadForm([[str(x) for x in row] for row in G])):
+                assert (same.den, same.ints) == (q.den, q.ints) and same == q
+
+
+def test_transformed_matches_fraction_congruence():
+    rng = random.Random(93)
+    for n in range(1, 6):
+        for _ in range(10):
+            q = rat_form(rng, n, zero_diagonal=rng.random() < 0.3)
+            P = random_rational(rng, n, rng.randint(1, 6))
+            moved = q.transformed(P)
+            assert_reduced(moved, reference_congruence(P, q.gram))
+            assert moved == QuadForm(moved.gram)
+            P = random_rational(rng, n, n)
+            if frac_det(P) != 0:
+                back = q.transformed(P).transformed(reference_inverse(P))
+                assert back == q and back.den == q.den
+
+
+def test_transformed_rejects_mismatched_shapes():
+    q = QuadForm([[1, 0], [0, 1]])
+    for P in ([[1, 2]], [[1], [2], [3]], [[1, 2], [3]], []):
+        with pytest.raises(DomainError, match="matrix shapes do not match"):
+            q.transformed(P)
 
 
 def test_empty_form_queries():

@@ -138,6 +138,12 @@ def random_invertible(rng, n, lo=-3, hi=3):
             return M
 
 
+def random_rational(rng, m, k):
+    """m x k matrix of small rationals over mixed denominators."""
+    return [[Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) for _ in range(k)]
+            for _ in range(m)]
+
+
 def reference_hnf(rows):
     """Row HNF by the min-abs loop that the incremental insertion in `linalg`
     replaced: per column, bring the entry of least absolute value up as the
