@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DomainError
-from .linalg import _bareiss, _clear, charpoly, det, inverse, mat, mat_mul
+from .linalg import _bareiss, _clear, charpoly, det, inverse, mat_mul
 
 
 class AdjointInvariants:
@@ -41,7 +41,7 @@ class AdjointInvariants:
 def _square(*Ts):
     """(D, D T as integer rows) for each T, cleared once; DomainError unless
     square, nonempty, one size."""
-    Ms = [_clear(mat(T)) for T in Ts]
+    Ms = [_clear(T) for T in Ts]
     n = len(Ms[0][1])
     if not n or any(len(M) != n or any(len(row) != n for row in M) for _, M in Ms):
         raise DomainError("expected nonempty square matrices of one size")
@@ -126,18 +126,17 @@ def adjoint_canonical_rep(inv: AdjointInvariants):
 def adjoint_conjugator(T, Tprime):
     """g with g T g^-1 = T', g e_n = e_n, e_n^T g = e_n^T; unique when D != 0.
 
-    D is `d_determinant` of the invariants, equal to `regularity_D(T)` by
-    Cayley-Hamilton. Then g maps the Krylov basis (T^j e_n) to (T'^j e_n):
-    g^T solves Q^T X = Q'^T, one integer Bareiss solve.
+    D = `regularity_D(T)` = `d_determinant` (Cayley-Hamilton), read off the
+    Krylov vectors B^j e_n, j < 2n - 1, of the integer B. Then g maps (T^j e_n)
+    to (T'^j e_n), j < n: g^T solves Q^T X = Q'^T, one integer Bareiss solve.
     """
     (D, B), (Dp, Bp) = _square(T, Tprime)
     n = len(B)
-    inv1 = adjoint_invariants(T)
-    if inv1 != adjoint_invariants(Tprime):
+    if adjoint_invariants(T) != adjoint_invariants(Tprime):
         raise DomainError("invariants differ: matrices are not in the same orbit")
-    if d_determinant(inv1) == 0:
+    vs, vps = _krylov(B, 2 * n - 1), _krylov(Bp, n)
+    if not det([[vs[i + j][-1] for j in range(n)] for i in range(n)]):
         raise DomainError("irregular: moment determinant vanishes")
-    vs, vps = _krylov(B, n), _krylov(Bp, n)
     # row j of [Q^T | Q'^T], times (D D')^j
     M = [[x * Dp ** j for x in v] + [x * D ** j for x in vp]
          for j, (v, vp) in enumerate(zip(vs, vps))]

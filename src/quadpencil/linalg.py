@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
-Matrices are lists of rows of ints or Fractions. Inside, a matrix is integer
-rows over one denominator: `_clear` makes them once (a matrix of ints passes
-through), kernels run on Python integers, and `_fractions` builds what they
-return. `det`, `solve`, `inverse` and `nullspace` share the fraction-free
-`_bareiss`; `congruence` is `_congruence`, which `SymPair` and `QuadForm`
-apply to their own rows. Mismatched shapes raise DomainError. `hnf` is
-incremental, by Euclid's algorithm on row pairs.
+Matrices are rows of anything `Fraction()` accepts. `_clear` is the one
+conversion: it makes integer rows over one denominator once per input (no
+kernel calls the public `mat`), kernels run on integers, and `_fractions`
+builds what they return. `det`, `solve`, `inverse` and `nullspace` share the
+fraction-free `_bareiss`; `congruence` is `_congruence`, which `SymPair` and
+`QuadForm` apply to their own rows. Mismatched shapes raise DomainError.
+`hnf` is incremental, by Euclid's algorithm on row pairs.
 """
 
 from fractions import Fraction
@@ -30,10 +30,12 @@ def transpose(A):
 
 
 def _clear(A):
-    """(D, D * A as new integer rows), D the lcm of all denominators of the
-    list of rows A; a matrix of ints comes back as (1, a copy of its rows)."""
+    """(D, D * A as new integer rows), D the lcm of the denominators of the
+    rows A (iterables of what `Fraction()` accepts); ints are only copied."""
+    A = [list(row) for row in A]
     if all(type(x) is int for row in A for x in row):
-        return 1, [list(row) for row in A]
+        return 1, A
+    A = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in A]
     D = lcm(*(x.denominator for row in A for x in row))
     return D, [[x.numerator * (D // x.denominator) for x in row] for row in A]
 

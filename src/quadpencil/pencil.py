@@ -25,9 +25,7 @@ from .intutil import (
     rational_sqrt,
     shell_prefixes,
 )
-from .linalg import (
-    _bareiss, _clear, _congruence, _fractions, _int_mul, charpoly, det, is_symmetric, mat,
-)
+from .linalg import _bareiss, _clear, _congruence, _fractions, _int_mul, charpoly, det, is_symmetric
 from .polys import _make, discriminant, real_root_count
 
 
@@ -39,9 +37,9 @@ class SymPair:
     __slots__ = ("den", "ints")
 
     def __init__(self, A, B):
-        A, B = mat(A), mat(B)
-        self.den, rows = _clear(A + B)
-        self.ints = (rows[:len(A)], rows[len(A):])
+        (da, A), (db, B) = _clear(A), _clear(B)
+        D = self.den = lcm(da, db)
+        self.ints = tuple([[x * (D // d) for x in r] for r in M] for d, M in ((da, A), (db, B)))
         if len(A) != len(B) or not all(map(is_symmetric, self.ints)):
             raise DomainError("need two symmetric matrices of equal size")
 
@@ -290,8 +288,8 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
     every factor splits linearly, giving order 2^(n-1).
 
     Each E_i(T) comes from Horner's rule on the integer matrix d T, all over
-    one denominator C; each element M / C is checked to fix the pair under
-    `transformed`, to square to I and to have determinant 1.
+    one denominator C; each element M / C is checked to fix the pair (one
+    integer congruence), to square to I and to have determinant 1.
     """
     f, *_, d, S = _stable_T(pair)
     n = pair.n
@@ -331,7 +329,7 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
             continue
         M = combination(signs)
         elements.append(_fractions(C, M))
-        assert pair.transformed(elements[-1]) == pair
+        assert _congruence(M, pair.den * C2, *pair.ints) == (pair.den, pair.ints)
         assert _int_mul(M, M) == [[C2 * (i == j) for j in range(n)] for i in range(n)]
         assert det(M) == C**n
 

@@ -9,10 +9,11 @@ denominator, and the action, the Q_i and the minors run on integers.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import DomainError
-from .linalg import _clear, _fractions, det, mat
+from .linalg import _bareiss, _clear, _fractions, det
 
 MONOMIALS = ("x2", "y2", "z2", "xy", "xz", "yz")
 
@@ -30,12 +31,11 @@ def _check_skew(M):
 def pfaffian(M):
     """Pfaffian of an even-dimensional skew matrix, Pf^2 = det; expanded on
     the integer D*M, D the lcm of the denominators: Pf(D*M) = D^(n/2) Pf(M)."""
-    M = mat(M)
-    _check_skew(M)
-    n = len(M)
+    D, B = _clear(M)
+    _check_skew(B)
+    n = len(B)
     if n % 2:
         raise DomainError("Pfaffian needs even dimension")
-    D, B = _clear(M)
     return Fraction(_pf(B), D ** (n // 2))
 
 
@@ -65,13 +65,13 @@ class SkewTriple:
     def __init__(self, A, B, C):
         mats = []
         for M in (A, B, C):
-            M = mat(M)
+            e, M = _clear(M)
             if len(M) != 5:
                 raise DomainError("triple must consist of 5x5 matrices")
             _check_skew(M)
-            mats.extend(M)
-        self.den, rows = _clear(mats)
-        self.ints = (rows[:5], rows[5:10], rows[10:])
+            mats.append((e, M))
+        D = self.den = lcm(*(e for e, _ in mats))
+        self.ints = tuple([[x * (D // e) for x in row] for row in M] for e, M in mats)
 
     A = property(lambda self: _fractions(self.den, self.ints[0]))
     B = property(lambda self: _fractions(self.den, self.ints[1]))
@@ -80,10 +80,9 @@ class SkewTriple:
     def transformed(self, g):
         """The action v -> (g A g^T, g B g^T, g C g^T): with G = e g cleared
         once, each G M G^T on integers over den e^2, skew by construction."""
-        g = mat(g)
-        if len(g) != 5 or any(len(row) != 5 for row in g):
-            raise DomainError("g must be a 5x5 matrix")
         e, G = _clear(g)
+        if len(G) != 5 or any(len(row) != 5 for row in G):
+            raise DomainError("g must be a 5x5 matrix")
         out = object.__new__(SkewTriple)
         out.den = self.den * e * e
         out.ints = tuple(_skew_congruence(G, M) for M in self.ints)
@@ -149,14 +148,18 @@ def pi_invariant(v: SkewTriple):
     Rows of the 5x6 matrix M are the coefficient vectors of Q_1..Q_5; the
     kernel direction is written out by Cramer's rule as alternating-sign
     maximal minors, then folded into a Gram matrix with halved off-diagonals.
-    The minors are taken on the integer rows of den^2 Q_i, so each is den^10
-    times the rational one.
+    One fraction-free Jordan elimination of the integer rows den^2 Q_i gives
+    the minors (den^10 times the rational ones): at rank 5, minor j0 of the
+    free column is +- the last pivot and column j0 of the pivot rows the rest.
     """
-    M = _sub_pfaffians(v)
-    c = []
-    for j in range(6):
-        minor = [[row[k] for k in range(6) if k != j] for row in M]
-        c.append((-1) ** j * det(minor).numerator)
+    M = [list(q) for q in _sub_pfaffians(v)]
+    pivots, p = _bareiss(M, 6, True)
+    c = [0] * 6
+    if len(pivots) == 5:
+        j0 = 15 - sum(pivots)  # the free column
+        c[j0] = (-1) ** j0 * p
+        for row, k in zip(M, pivots):
+            c[k] = (-1) ** (j0 + 1) * row[j0]
     d = v.den ** 10
     h = 2 * d
     return [

@@ -311,15 +311,13 @@ def discriminant(p: Poly) -> Fraction:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals (zero if both are zero)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, (a % b)
-        if not b.is_zero:
-            b = b.monic()  # keeps coefficient size tame
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd (zero if both are zero), by the primitive integer PRS."""
+    b, a = sorted((list(p.num), list(q.num)), key=len)
+    while b:
+        r = _prem(a, b)
+        g = gcd(*r)
+        a, b = b, [c // g for c in r]
+    return _make(a, a[-1]) if a else Poly()
 
 
 def poly_gcdex(p: Poly, q: Poly):
@@ -349,13 +347,12 @@ def squarefree_decomposition(p: Poly):
     if p.is_zero:
         raise DomainError("zero polynomial")
     c = p.lc
-    f = p.monic()
-    if f.degree == 0:
+    if p.degree == 0:
         return c, []
     out = []
-    g = poly_gcd(f, f.derivative())
-    c1 = f // g
-    d = f.derivative() // g - c1.derivative()
+    g = poly_gcd(p, p.derivative())
+    c1 = p // g
+    d = p.derivative() // g - c1.derivative()
     i = 1
     while c1.degree > 0:
         step = poly_gcd(c1, d)

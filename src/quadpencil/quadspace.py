@@ -22,7 +22,7 @@ from .intutil import (
     shell_prefixes,
     squarefree_part,
 )
-from .linalg import _clear, _congruence, _fractions, _int_mul, det, is_symmetric, mat, vec_mat
+from .linalg import _clear, _congruence, _fractions, _int_mul, det, is_symmetric, vec_mat
 
 REAL_PLACE = 0
 
@@ -35,7 +35,7 @@ class QuadForm:
     __slots__ = ("den", "ints")
 
     def __init__(self, gram):
-        self.den, self.ints = _clear(mat(gram))
+        self.den, self.ints = _clear(gram)
         if not is_symmetric(self.ints):
             raise DomainError("Gram matrix must be symmetric")
 
@@ -43,7 +43,7 @@ class QuadForm:
     dim = property(lambda self: len(self.ints))
 
     def value(self, w):
-        e, (v,) = _clear(mat([w]))
+        e, (v,) = _clear([w])
         return Fraction(sum(map(mul, vec_mat(v, self.ints), v)), self.den * e * e)
 
     def det(self):
@@ -308,7 +308,7 @@ def gram_invariant(space: QuadForm, vectors) -> QuadForm:
     n = space.dim - 1
     if len(vectors) != n:
         raise DomainError("need dim - 1 vectors")
-    ws = mat(vectors)
+    ws = [list(w) for w in vectors]  # cleared once, by `transformed`
     if any(len(w) != space.dim for w in ws):
         raise DomainError("vector of wrong length")
     return space.transformed([[w[i] for w in ws] for i in range(space.dim)])

@@ -167,6 +167,32 @@ def block_conjugate(rng, T):
     return H, mat_mul(mat_mul(H, T), invert(H))
 
 
+def test_conjugator_raises_exactly_when_irregular():
+    # random rational T at n = 2..5, half of them with an invariant subspace
+    # through e_n (T block upper triangular): irregular whenever it is proper
+    rng = random.Random(118)
+    seen = set()
+    for k in range(120):
+        n = 2 + k // 2 % 4
+        T = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)]
+             for _ in range(n)]
+        if k % 2:
+            m = rng.randint(1, n - 1)  # span(e_(m+1), ..., e_n) is T-invariant
+            for i in range(m):
+                for j in range(m, n):
+                    T[i][j] = Fraction(0)
+        _, Tp = block_conjugate(rng, T)
+        irregular = d_determinant(adjoint_invariants(T)) == 0
+        seen.add(irregular)
+        if irregular:
+            with pytest.raises(DomainError, match="^irregular: moment determinant vanishes$"):
+                adjoint_conjugator(T, Tp)
+        else:
+            g = adjoint_conjugator(T, Tp)
+            assert mat_mul(g, T) == mat_mul(Tp, g)
+    assert seen == {True, False}
+
+
 def test_conjugator_is_unique_matches_nullspace_reference():
     rng = random.Random(116)
     cases = []

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from quadpencil.adjoint import adjoint_invariants
 from quadpencil.errors import DomainError
 from quadpencil.linalg import (
     charpoly,
@@ -14,12 +15,16 @@ from quadpencil.linalg import (
     det,
     hnf,
     inverse,
+    mat,
     mat_mul,
     nullspace,
     solve,
     vec_mat,
 )
+from quadpencil.pencil import SymPair
+from quadpencil.pfaffian import SkewTriple, pfaffian
 from quadpencil.polys import Poly
+from quadpencil.quadspace import QuadForm, gram_invariant
 
 from util import (
     frac_det,
@@ -441,3 +446,113 @@ def test_det_of_ints_leaves_input_alone():
         copy = [row[:] for row in A]
         assert det(A) == det([[Fraction(x) for x in row] for row in A]) == frac_det(A)
         assert A == copy
+
+
+def _as_kind(entry, kind):
+    """A rational entry written as an int, a bool, a Fraction, a "p/q"
+    string or a float (kinds that cannot hold it fall back to Fraction)."""
+    x = Fraction(entry)
+    if kind == "int" and x.denominator == 1:
+        return int(x)
+    if kind == "bool" and x in (0, 1):
+        return bool(x)
+    if kind == "str":
+        return str(x)
+    if kind == "float" and x.denominator in (1, 2, 4):
+        return float(x)
+    return x
+
+
+def _shaped(rows, kind, container):
+    """rows as a list of lists, a tuple of tuples or a generator of generators."""
+    rows = [[_as_kind(x, kind) for x in row] for row in rows]
+    if container == "tuple":
+        return tuple(map(tuple, rows))
+    if container == "gen":
+        return (iter(row) for row in rows)
+    return rows
+
+
+KINDS = ("int", "bool", "fraction", "str", "float")
+CONTAINERS = ("list", "tuple", "gen")
+
+
+def test_entry_conversion_matches_mat_first():
+    """Anything Fraction() accepts, in rows of any iterable, gives what
+    converting with mat() first gives."""
+    rng = random.Random(20)
+    h = Fraction(1, 2)
+    for kind in KINDS:
+        for container in CONTAINERS:
+            for _ in range(3):
+                A = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2, 4))) for _ in range(3)]
+                     for _ in range(3)]
+                S = [[A[i][j] + A[j][i] for j in range(3)] for i in range(3)]
+                S01 = [[Fraction(int(i == j or i + j == 1)) for j in range(3)] for i in range(3)]
+                K = [[A[i][j] - A[j][i] for j in range(3)] + [h, 0] for i in range(3)]
+                K += [[-h, -h, -h, 0, 1], [0, 0, 0, -1, 0]]
+                g = [[Fraction(int(i == j)) * (1 + h * (i % 2)) for j in range(5)]
+                     for i in range(5)]
+                w = [A[0][0], h, 1]
+
+                def shaped(rows):
+                    return _shaped(rows, kind, container)
+
+                got, want = SymPair(shaped(S), shaped(S01)), SymPair(mat(S), mat(S01))
+                assert (got.den, got.ints) == (want.den, want.ints)
+                q = QuadForm(shaped(S))
+                assert (q.den, q.ints) == (want.den, want.ints[0])
+                (v,) = shaped([w])
+                assert q.value(v) == q.value(mat([w])[0])
+                got, want = gram_invariant(q, list(shaped(A[:2]))), gram_invariant(q, mat(A[:2]))
+                assert (got.den, got.ints) == (want.den, want.ints)
+                got, want = SkewTriple(shaped(K), shaped(K), K), SkewTriple(mat(K), mat(K), K)
+                assert (got.den, got.ints) == (want.den, want.ints)
+                got, want = got.transformed(shaped(g)), want.transformed(mat(g))
+                assert (got.den, got.ints) == (want.den, want.ints)
+                K4 = [row[1:] for row in K[1:]]
+                assert pfaffian(shaped(K4)) == pfaffian(mat(K4))
+                assert adjoint_invariants(shaped(A)) == adjoint_invariants(mat(A))
+
+
+def test_bad_entries_raise_what_fraction_raises():
+    """A bad entry raises what Fraction() raises for it, as through mat()."""
+    I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    K = [[0, 1, 2, 3, 4], [-1, 0, 5, 6, 7], [-2, -5, 0, 8, 9], [-3, -6, -8, 0, 1],
+         [-4, -7, -9, -1, 0]]
+    for bad in ("x", None, [1], float("nan"), float("inf"), "1/0", 1j):
+        with pytest.raises(Exception) as info:
+            Fraction(bad)
+        kind = info.type
+        B = [[1, 0, 0], [0, bad, 0], [0, 0, 1]]
+        Kb = [row[:] for row in K]
+        Kb[1][2] = bad
+        calls = [
+            lambda: SymPair(I3, B),
+            lambda: SymPair(B, [[0]]),
+            lambda: QuadForm(B),
+            lambda: QuadForm(I3).value([1, bad, 0]),
+            lambda: gram_invariant(QuadForm(I3), [[1, 0, 0], [0, bad, 1]]),
+            lambda: SkewTriple(K, K, Kb),
+            lambda: SkewTriple(K, K, K).transformed(Kb),
+            lambda: pfaffian([[0, bad], [1, 0]]),
+            lambda: adjoint_invariants(B),
+        ]
+        for call in calls:
+            with pytest.raises(kind):
+                call()
+
+
+def test_triple_with_two_faults_reports_the_first():
+    """Each matrix is checked in turn: shape, then skewness, as through mat()."""
+    K = [[0, 1, 2, 3, 4], [-1, 0, 5, 6, 7], [-2, -5, 0, 8, 9], [-3, -6, -8, 0, 1],
+         [-4, -7, -9, -1, 0]]
+    not_skew = [row[:] for row in K]
+    not_skew[0][1] = 9
+    four = [row[:4] for row in K[:4]]
+    with pytest.raises(DomainError, match="^matrix must be skew-symmetric$"):
+        SkewTriple(not_skew, four, K)
+    with pytest.raises(DomainError, match="^triple must consist of 5x5 matrices$"):
+        SkewTriple(four, not_skew, K)
+    with pytest.raises(DomainError, match="^matrix must be skew-symmetric$"):
+        SkewTriple(not_skew, [["x"] * 5] * 5, K)

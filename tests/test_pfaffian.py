@@ -145,6 +145,15 @@ def rat_skew(rng, n):
     return M
 
 
+def small_skew(rng, vals):
+    M = [[Fraction(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            M[i][j] = Fraction(rng.choice(vals))
+            M[j][i] = -M[i][j]
+    return M
+
+
 def test_triple_kernels_match_fraction_reference():
     rng = random.Random(108)
     zero = [[Fraction(0)] * 5 for _ in range(5)]
@@ -165,6 +174,17 @@ def test_triple_kernels_match_fraction_reference():
         assert pi_invariant(w) == reference_pi_invariant(*moved)
         assert pi_invariant(w.transformed(unimodular(rng, 5))) == pi_invariant(w)
         assert pi_invariant(w) == pi_invariant(SkewTriple(*moved))
+    # nonzero triples with entries in {-1, 0, 1} or {0, 1}: about a quarter
+    # have rank < 5, and the free column is not always the last
+    rng = random.Random(1080)
+    zero_pi = free_not_last = 0
+    for k in range(200):
+        mats = [small_skew(rng, (-1, 0, 1) if k % 2 else (0, 1)) for _ in range(3)]
+        pi = pi_invariant(SkewTriple(*mats))
+        assert pi == reference_pi_invariant(*mats)
+        zero_pi += pi == [[0] * 3] * 3
+        free_not_last += pi != [[0] * 3] * 3 and pi[1][2] == 0
+    assert zero_pi >= 20 and free_not_last >= 5, (zero_pi, free_not_last)
 
 
 def test_pfaffian_on_rational_entries():
