@@ -7,7 +7,10 @@ denominator; `coords` is the Fraction view in the power basis
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
 the pencil module. Traces are dot products with the power sums
 p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
-one integer solve with the multiplication matrix M_a.
+one fraction-free elimination on the integer multiplication matrix M_a.
+There is one live algebra per g; its caches are shared: constructing an
+algebra for a g equal to that of one still alive returns that one, with the
+factors and idempotents it has already computed.
 
 Square roots are decided on each field component K = Q[x]/(g_i) of degree d,
 its elements held as polynomials mod g_i, by one certified route. Euler's
@@ -23,6 +26,7 @@ Cohen, GTM 138, 4.5).
 """
 
 import random
+import weakref
 from fractions import Fraction
 from itertools import chain, product
 from math import isqrt
@@ -32,11 +36,15 @@ from .errors import DomainError
 from .factor import _gf_split, _good_primes, factor_poly, gf_divmod, gf_from_int, gf_gcd
 from .factor import gf_gcdex, gf_mul, gf_pow_mod, gf_sub
 from .intutil import is_square_rational, rational_sqrt
-from .linalg import _bareiss
+from .linalg import _bareiss, _fractions
 from .linalg import charpoly as mat_charpoly
 from .linalg import det as mat_det  # noqa: F401  (perfbench's tests trace this alias)
 from .linalg import solve as mat_solve
 from .polys import Poly, X, _make, is_squarefree, poly_gcdex, resultant
+
+# the live algebra of each g, held weakly: stored at the end of
+# EtaleAlgebra.__init__, so a rejected g is never stored, and looked up by __new__
+_LIVE = weakref.WeakValueDictionary()
 
 # square roots in a component field (_component_sqrt)
 _SYMBOL_PRIMES = 2  # good primes whose residue symbols are taken before a lift
@@ -44,7 +52,13 @@ _INERT_PRIMES = 40  # good primes walked for an inert one
 
 
 class EtaleAlgebra:
+    def __new__(cls, g):
+        live = _LIVE.get(g)
+        return live if live is not None else super().__new__(cls)
+
     def __init__(self, g: Poly):
+        if "g" in self.__dict__:
+            return  # the live algebra for this g, from __new__
         if g.degree < 1:
             raise DomainError("defining polynomial must have degree >= 1")
         if g.lc != 1:
@@ -67,6 +81,7 @@ class EtaleAlgebra:
             pows.append(_make(num, den))
         self._beta_pows = pows
         self._power_sums = None
+        _LIVE[g] = self
 
     @property
     def factors(self):
@@ -221,21 +236,29 @@ class AlgElement:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    def mult_matrix(self):
-        """Matrix of multiplication by self in the power basis (columns a*beta^j).
+    def _mult_ints(self):
+        """(M, e) with M / e the matrix of multiplication by self in the power
+        basis (columns a*beta^j), M integer.
 
         Each column is the last one times beta: its integer numerators shifted up
         one place, less its top coordinate times the monic g (as in _beta_pows).
+        Each column's denominator divides the last one, e.
         """
         n, G, E = self.A.n, self.A.g.num, self.A.g.den
         num, den = [*self._poly.num, *[0] * (n - len(self._poly.num))], self._poly.den
-        cols = [[Fraction(c, den) for c in num]]
+        cols = [(num, den)]
         for _ in range(n - 1):
             top, num = num[-1], [0, *num[:-1]]
             if top:
                 num, den = [E * c - top * gc for c, gc in zip(num, G)], den * E
-            cols.append([Fraction(c, den) for c in num])
-        return [list(row) for row in zip(*cols)]
+            cols.append((num, den))
+        cols = [[c * (den // dc) for c in col] for col, dc in cols]
+        return [list(row) for row in zip(*cols)], den
+
+    def mult_matrix(self):
+        """Matrix of multiplication by self in the power basis (columns a*beta^j)."""
+        M, e = self._mult_ints()
+        return _fractions(e, M)
 
     def trace(self, shift=0) -> Fraction:
         """Tr(beta^shift * self) for 0 <= shift < 2n, a dot product with power sums."""
@@ -254,12 +277,16 @@ class AlgElement:
         return self.norm() != 0
 
     def inverse(self):
-        """The x with self * x = 1: one integer solve of M_self x = e_0."""
-        try:
-            x = mat_solve(self.mult_matrix(), [1] + [0] * (self.A.n - 1))
-        except DomainError:
-            raise DomainError("element is not invertible") from None
-        return AlgElement(self.A, Poly(x))
+        """The x with self * x = 1: for the multiplication matrix M / e, one
+        fraction-free elimination of [M | e e_0] leaves [d I | d x]."""
+        n = self.A.n
+        M, e = self._mult_ints()
+        for i, row in enumerate(M):
+            row.append(e if i == 0 else 0)
+        pivots, d = _bareiss(M, n, True)
+        if len(pivots) < n:
+            raise DomainError("element is not invertible")
+        return AlgElement(self.A, _make([row[n] for row in M], d))
 
     def __repr__(self):
         return "AlgElement(%s)" % (tuple(str(c) for c in self.coords),)

@@ -6,7 +6,11 @@ disc f != 0) correspond to pairs (alpha, t) with alpha a unit in
 L = Q[x]/(g), f(x,1) = f0 g(x), and t^2 = f0 N(alpha); two pairs give the
 same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
 A pair is held as integer rows over one denominator, on which the invariant
-form, T = A^(-1) B and the congruence action are computed.
+form, T = A^(-1) B and the congruence action are computed. For a stable pair
+one elimination gives T and d = det A, and f follows from the identity
+det(sA - B) = det(A) det(sI - T) and the characteristic polynomial of T; the
+pair memoizes this, so the orbit parameter and the stabilizer of one pair
+share it.
 """
 
 from fractions import Fraction
@@ -26,20 +30,21 @@ from .intutil import (
     shell_prefixes,
 )
 from .linalg import _bareiss, _clear, _congruence, _fractions, _int_mul, charpoly, det, is_symmetric
-from .polys import _make, discriminant, real_root_count
+from .polys import discriminant, real_root_count
 
 
 class SymPair:
     """A pair of symmetric n x n rational matrices, held as integer rows
     `ints` = (D A, D B) over `den` = D, the lcm of the entries' denominators;
-    `A` and `B` read them as Fraction matrices."""
+    `A` and `B` read them as Fraction matrices; `_T` memoizes _stable_T."""
 
-    __slots__ = ("den", "ints")
+    __slots__ = ("den", "ints", "_T")
 
     def __init__(self, A, B):
         (da, A), (db, B) = _clear(A), _clear(B)
         D = self.den = lcm(da, db)
         self.ints = tuple([[x * (D // d) for x in r] for r in M] for d, M in ((da, A), (db, B)))
+        self._T = None
         if len(A) != len(B) or not all(map(is_symmetric, self.ints)):
             raise DomainError("need two symmetric matrices of equal size")
 
@@ -51,6 +56,7 @@ class SymPair:
         """(M^T A M, M^T B M), the congruence action, on the integer rows."""
         out = object.__new__(SymPair)
         out.den, out.ints = _congruence(M, self.den, *self.ints)
+        out._T = None
         return out
 
     def __eq__(self, other):
@@ -106,7 +112,6 @@ def _form(D, A, B) -> BinaryForm:
     has integer coefficients, so its Newton form at s = 0..n does too (the
     k-th forward difference of an integer polynomial is divisible by k!)."""
     n = len(A)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
     c = [det([[s * a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]).numerator
          for s in range(n + 1)]
     for k in range(1, n + 1):
@@ -115,8 +120,13 @@ def _form(D, A, B) -> BinaryForm:
     q = []  # Horner: q <- q (s - i) + c_i, coefficients low first
     for i in range(n, -1, -1):
         q = [a - i * b for a, b in zip([c[i], *q], [*q, 0])]
-    Dn = D**n
+    Dn, sign = D**n, _sign(n)
     return BinaryForm([Fraction(sign * q[n - i], Dn) for i in range(n + 1)])
+
+
+def _sign(n):
+    """(-1)^(n(n-1)/2), the sign in f(x,y) = (-1)^(n(n-1)/2) det(xA - yB)."""
+    return -1 if (n * (n - 1) // 2) % 2 else 1
 
 
 def invariant_binary_form(pair: SymPair) -> BinaryForm:
@@ -125,17 +135,29 @@ def invariant_binary_form(pair: SymPair) -> BinaryForm:
 
 
 def _stable_T(pair: SymPair):
-    """(f, D, A', B', d, d T) for a stable pencil, with (D, (A', B')) its
-    integer rows and T = A^(-1) B: one Jordan elimination of [A' | B']
-    leaves d I on the left, d T on the right."""
-    n = pair.n
-    D, (A, B) = pair.den, pair.ints
-    f = _form(D, A, B)
-    _require_stable(f)
-    M = [ra + rb for ra, rb in zip(A, B)]
-    pivots, d = _bareiss(M, n, True)
-    assert len(pivots) == n
-    return f, D, A, B, d, [row[n:] for row in M]
+    """(f, D, A', B', d, S) for a stable pencil, with (D, (A', B')) its
+    integer rows, d = det A' and S = d T for T = A^(-1) B; memoized on the
+    pair.
+
+    One Jordan elimination of [A' | B'] leaves d I on the left and S on the
+    right. Since det(sA' - B') = d det(sI - T) and charpoly(S)(x) =
+    d^n det(x/d - T), f_i = sign chi_(n-i) d / (D^n d^i) for chi =
+    charpoly(S) (Bareiss, Math. Comp. 22, 1968; Faddeev-LeVerrier). Fewer
+    than n pivots means det A = 0, so f0 = 0.
+    """
+    if pair._T is None:
+        n = pair.n
+        D, (A, B) = pair.den, pair.ints
+        M = [ra + rb for ra, rb in zip(A, B)]
+        pivots, d = _bareiss(M, n, True)
+        if len(pivots) < n:
+            raise DomainError("pencil is not stable: f0 = 0")
+        S = [row[n:] for row in M]
+        chi, Dn, sign = charpoly(S).num, D**n, _sign(n)
+        f = BinaryForm([Fraction(sign * chi[n - i] * d, Dn * d**i) for i in range(n + 1)])
+        _require_stable(f)
+        pair._T = f, D, A, B, d, S
+    return pair._T
 
 
 def _require_stable(f: BinaryForm):
@@ -177,8 +199,9 @@ def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
     g = f.monic_part()
     L = EtaleAlgebra(g)
     n = pair.n
-    # charpoly(d T)(x) = d^n g(x / d): the same identity as charpoly(T) == g
-    assert charpoly(S) == _make([c * d ** (n - k) for k, c in enumerate(g.num)], g.den)
+    # f at the point (1, 1), apart from charpoly(S): sign det(A' - B') = D^n f(1, 1)
+    assert _sign(n) * det([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]) \
+        == D**n * sum(f.coeffs)
     krylov, dK = _cyclic_vector(S, seed)
     Am = [sum(map(mul, row, krylov[0])) for row in A]
     moments = [Fraction(sum(map(mul, Am, v)), D * d**k) for k, v in enumerate(krylov)]

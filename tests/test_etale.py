@@ -1,5 +1,6 @@
 """Quotient-algebra arithmetic: idempotents, norm/trace, square roots."""
 
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +26,7 @@ from util import (
     reference_component_norm,
     reference_component_sqrt,
     reference_mult_matrix,
+    reference_solve,
     reference_trager_sqrt,
 )
 
@@ -555,3 +557,62 @@ def test_height_bounds_the_scaled_root():
         H = etale._height(ge, c, a1, *etale._gram_inverse(ge))
         w = (c * in_beta1(r)) % ge
         assert w.den == 1 and max(map(abs, w.num)) <= H, (Li, r)
+
+
+def test_integer_inverse_matches_mult_matrix_solve():
+    # one elimination on the integer columns against the Fraction columns
+    # a * beta^j and a Fraction solve against e_0, degree 1..8
+    rng = random.Random(64)
+    singular = 0
+    for n in range(1, 9):
+        for k in range(12):
+            A = rand_non_integral(rng, n) if k % 4 == 3 else rand_algebra(rng, n)
+            a = rand_sparse(rng, A)
+            if k % 4 == 1 and len(A.factors) > 1:
+                a = a * A.idempotents()[0]  # a zero divisor
+            try:
+                want = reference_solve(reference_mult_matrix(a), [1] + [0] * (n - 1))
+            except DomainError:
+                singular += 1
+                with pytest.raises(DomainError, match="element is not invertible"):
+                    a.inverse()
+                continue
+            got = a.inverse()
+            assert repr(got.coords) == repr(tuple(want)), (A, a)
+            assert got.poly() == Poly(want)
+    assert singular >= 10
+
+
+def test_one_live_algebra_per_g():
+    g = poly_from_ints([11, -4, 0, 1])
+    A = EtaleAlgebra(g)
+    assert EtaleAlgebra(g) is A
+    assert EtaleAlgebra(Poly(g.coeffs)) is A
+    assert EtaleAlgebra(Poly([Fraction(c) for c in g.coeffs])) is A
+    factors = A.factors
+    assert EtaleAlgebra(Poly(g.coeffs)).factors is factors
+    assert EtaleAlgebra(poly_from_ints([12, -4, 0, 1])) is not A
+
+
+def test_rejected_g_is_never_stored():
+    bad = {
+        Poly([5]): "degree >= 1",
+        Poly([1, 2]): "monic",
+        poly_from_ints([-1, 1]) ** 2: "not squarefree",
+    }
+    for g, msg in bad.items():
+        for _ in range(3):
+            with pytest.raises(DomainError, match=msg) as info:
+                EtaleAlgebra(g)
+            assert g not in etale._LIVE  # while the traceback holds the object
+            del info
+
+
+def test_registry_drops_dead_algebra():
+    g = poly_from_ints([-13, 7, 0, 0, 1])
+    A = EtaleAlgebra(g)
+    assert etale._LIVE[g] is A
+    del A
+    gc.collect()
+    assert g not in etale._LIVE
+    assert EtaleAlgebra(g)._factors is None

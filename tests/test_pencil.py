@@ -1,5 +1,6 @@
 """Pairs of symmetric forms: invariant form, parameter bijection, stabilizers."""
 
+import gc
 import random
 from fractions import Fraction
 from math import lcm
@@ -20,6 +21,7 @@ from quadpencil import (
     real_orbit_obstruction,
     stabilizer_rational,
 )
+from quadpencil import etale, pencil
 from quadpencil.errors import DomainError
 from quadpencil.etale import AlgElement, all_square_roots
 from quadpencil.linalg import congruence, identity, mat_mul
@@ -596,3 +598,85 @@ def test_orbit_witness_search_takes_one_norm_per_shell_vector(monkeypatch):
         calls.clear()
         assert orbit_witness_search(f, bound) is None
         assert len(calls) == (2 * bound + 1) ** 2 - 1
+
+
+def test_form_from_T_matches_determinants():
+    # f from d = det A' and charpoly(d T) against the n + 1 determinants of
+    # _form, which must still raise the same error text when the pencil is
+    # not stable: singular A (f0 = 0) or repeated eigenvalues (disc 0)
+    rng = random.Random(60)
+    seen = {"stable": 0, "f0": 0, "disc": 0}
+    for k in range(2600):
+        n = rng.randint(1, 6)
+        A = random_symmetric(rng, n, k % 3 == 1)
+        B = random_symmetric(rng, n, k % 3 == 2)
+        if k % 8 == 3:
+            A = [[x % 2 for x in row] for row in A]  # often singular
+        elif k % 8 == 5:
+            c = Fraction(rng.randint(-3, 3), 2)
+            B = [[c * x for x in row] for row in A]  # T = c I
+        pair = SymPair(A, B)
+        try:
+            want = pencil._form(pair.den, *pair.ints)
+            pencil._require_stable(want)
+        except DomainError as e:
+            with pytest.raises(DomainError) as got:
+                pencil._stable_T(pair)
+            assert str(got.value) == str(e), (A, B)
+            seen["f0" if str(e).endswith("f0 = 0") else "disc"] += 1
+            continue
+        assert pencil._stable_T(pair)[0] == want, (A, B)
+        seen["stable"] += 1
+    assert seen["stable"] >= 2000 and seen["f0"] >= 50 and seen["disc"] >= 100, seen
+
+
+def test_stable_context_is_memoized_per_pair():
+    rng = random.Random(61)
+    f, p = random_param(rng, 4)
+    pair = param_to_pencil(f, p)
+    ctx = pencil._stable_T(pair)
+    assert pencil._stable_T(pair) is ctx and ctx[0] == f
+    moved = pair.transformed(unimodular(rng, 4))
+    assert moved._T is None and SymPair(pair.A, pair.B)._T is None
+    assert pencil._stable_T(moved)[0] == f
+    with pytest.raises(DomainError, match="disc"):
+        pencil._stable_T(SymPair(I2, I2))
+
+
+def test_round_trip_factors_g_once(monkeypatch):
+    # param_to_pencil -> transformed -> pencil_to_param -> g_equivalent ->
+    # stabilizer_rational share one algebra, so g is factored once
+    calls = []
+    factor_poly = etale.factor_poly
+
+    def counted(g):
+        calls.append(g)
+        return factor_poly(g)
+
+    monkeypatch.setattr(etale, "factor_poly", counted)
+    g = poly_from_ints([-7, 1]) * poly_from_ints([-3, 0, 1]) * poly_from_ints([5, 1, 0, 1])
+    assert g not in etale._LIVE
+    L = EtaleAlgebra(g)
+    alpha = L.element([1, 2, 0, -1, 1, 1])
+    f = BinaryForm.from_monic_part(alpha.norm(), g)
+    p = OrbitParam(L, alpha, alpha.norm())
+    moved = param_to_pencil(f, p).transformed(unimodular(random.Random(62), 6))
+    q = pencil_to_param(moved)
+    assert g_equivalent(p, q) is not None
+    assert stabilizer_rational(moved).order == 4
+    assert calls == [g]
+
+
+def test_stabilizer_after_param_matches_fresh_pair():
+    rng = random.Random(63)
+    for n in (2, 4, 5):
+        pair = split_pencil(rng, n)
+        q = pencil_to_param(pair)
+        S = stabilizer_rational(pair)
+        del q
+        gc.collect()
+        fresh = SymPair(pair.A, pair.B)
+        assert fresh == pair and fresh._T is None
+        R = stabilizer_rational(fresh)
+        assert (S.order, S.geometric_order) == (R.order, R.geometric_order)
+        assert S.elements == R.elements and S.generators == R.generators
