@@ -11,12 +11,15 @@ closed form (Nakagawa, Invent. Math. 97, 1989; Wood, J. London Math. Soc. 83,
     zeta_i zeta_j = sum_(k=j+1)^(min(i+j,n)) f_(i+j-k) zeta_k
                     - sum_(k=max(i+j-n,1))^(i) f_(i+j-k) zeta_k.
 The basis rows are triangular with diagonal f0, so coordinates come by
-back-substitution. Ideals are stored with a global denominator and an integer
-HNF basis in R_f coordinates, plus an orientation sign. Products of ideals and
-scalars multiply those integer rows through the table, one dot product per
-coordinate over the table columns precomputed with the order, then take the
-HNF. Membership is integer forward substitution on the HNF of the basis,
-which is upper triangular with a positive diagonal.
+integer back-substitution, exact after one scaling by a power of f0. Ideals
+are stored with a global denominator and an integer HNF basis in R_f
+coordinates, an orientation sign, and a module bit that only `unit_ideal`,
+`power_ideal`, `ideal_mul` (R I J = I (R J)) and `scalar_ideal` set, each when
+it knows R_f I = I. Products of ideals and scalars multiply those integer rows
+through the table, one dot product per coordinate over the table columns
+precomputed with the order, then take the HNF. Membership is integer forward
+substitution on the HNF of the basis, which is upper triangular with a
+positive diagonal.
 The module pair of (I, alpha) reads off the same table products: the
 zeta_(n-2) and zeta_(n-1) coordinates of b_i b_j / alpha are its coordinates
 on the last two vectors of the natural basis of I_f(n-3), whose other vectors
@@ -72,20 +75,35 @@ class Order:
 
     def to_basis(self, elem):
         """Coordinates of an algebra element in the zeta basis."""
+        d, c = self._coords(elem)
+        return [Fraction(x, d) for x in c]
+
+    def _coords(self, elem):
+        """(d, c): the zeta coordinates of elem are the integers c over d > 0."""
         if elem.A != self.algebra:
             raise DomainError("elements of different algebras")
-        return self.natural_coords(elem.coords, 0)
+        p = elem.poly()
+        d, c = self._natural([*p.num, *[0] * (self.n - len(p.num))], 0)
+        return d * p.den, c
 
     def natural_coords(self, x, k):
         """Coordinates of the power-basis vector x in the basis 1, theta, ...,
-        theta^k, zeta_(k+1), ..., zeta_(n-1) of I_f(k), by back-substitution:
-        zeta_m (m >= 1) has top coefficient f0 at theta^m and no constant term."""
-        c = [Fraction(v) for v in x]
-        for m in range(len(c) - 1, k, -1):
-            c[m] /= self.f.f0
-            for j in range(1, m):
-                c[j] -= c[m] * self.Z[m][j]
-        return c
+        theta^k, zeta_(k+1), ..., zeta_(n-1) of I_f(k)."""
+        d, (v,) = _clear([x])
+        e, c = self._natural(v, k)
+        return [Fraction(y, d * e) for y in c]
+
+    def _natural(self, v, k):
+        """(e, c): natural_coords(v, k) as the integers c over e = |f0|^(n-1-k), for
+        an integer v; on v f0^(n-1-k), each division by f0 is exact."""
+        f0, n = self.Z[-1][-1], len(v)  # Z[n-1][n-1] = f0; n = 1 divides by nothing
+        s = f0 ** max(n - 1 - k, 0)
+        c = [x * s for x in v]
+        for m in range(n - 1, k, -1):
+            q = c[m] = c[m] // f0
+            for j, z in enumerate(self.Z[m][1:m], 1):
+                c[j] -= q * z
+        return (s, c) if s > 0 else (-s, [-x for x in c])
 
     def from_basis(self, coords):
         return self.algebra.element(vec_mat(coords, self.Z))
@@ -102,16 +120,18 @@ def form_order(f: BinaryForm) -> Order:
 
 def order_disc(order: Order) -> Fraction:
     """det of the trace form on the basis of R_f; equals disc(f). Tr(zeta_i zeta_j)
-    is T[i][j] dotted with the Tr(zeta_k), each Z[k] dotted with the power sums."""
-    p = order.algebra.power_sums
-    tr = [sum(map(mul, row, p)) for row in order.Z]
+    is T[i][j] dotted with the integers Tr(zeta_k), each Z[k] dotted with p / D."""
+    D, (p,) = _clear([order.algebra.power_sums[:order.n]])
+    tr = [sum(map(mul, row, p)) // D for row in order.Z]
     return det([[sum(map(mul, t, tr)) for t in row] for row in order.table])
 
 
 class OrientedIdeal:
-    """Full-rank R_f-lattice with orientation: rows/den in the zeta basis."""
+    """Full-rank R_f-lattice with orientation: the rows of the tuple mat over den,
+    in the zeta basis. The bit `module` (R_f I = I is known) is False unless a
+    constructor below that proves it sets it."""
 
-    __slots__ = ("order", "den", "mat", "eps")
+    __slots__ = ("order", "den", "mat", "eps", "module")
 
     def __init__(self, order, den, mat, eps):
         if eps not in (1, -1) or den <= 0:
@@ -119,28 +139,31 @@ class OrientedIdeal:
         g = int_gcd(den, *(x for row in mat for x in row))
         self.order = order
         self.den = den // g
-        self.mat = [[x // g for x in row] for row in mat]
+        self.mat = tuple(map(tuple, mat if g == 1 else ([x // g for x in row] for row in mat)))
         self.eps = eps
+        self.module = False
 
     def norm(self) -> Fraction:
         return self.eps * Fraction(det(self.mat), Fraction(self.den) ** self.order.n)
 
     def contains(self, elem) -> bool:
-        """Is elem in the lattice: y H = den x integral for its zeta
-        coordinates x, H = hnf(mat) spanning the same lattice? H is upper
-        triangular with a positive diagonal, so y comes by integer forward
-        substitution and the first inexact division says no."""
-        x = self.order.to_basis(elem)
+        """Is elem in the lattice?"""
+        return self._holds(*self.order._coords(elem))
+
+    def _holds(self, d, *vs) -> bool:
+        """Are all the zeta coordinate rows v / d in the lattice: is y H = den v / d
+        integral for H = hnf(mat)? H is upper triangular with a positive diagonal,
+        so y comes by forward substitution; the first inexact division says no."""
         H = hnf(self.mat)
-        if len(H) != len(x):
+        if len(H) != self.order.n:
             raise DomainError("ideal basis is not full rank")
-        d, (v,) = _clear([x])
-        y = []
-        for c, col in zip(v, zip(*H)):
-            q, r = divmod(self.den * c - d * sum(map(mul, y, col)), d * col[len(y)])
-            if r:
-                return False
-            y.append(q)
+        for v in vs:
+            y = []
+            for c, col in zip(v, zip(*H)):
+                q, r = divmod(self.den * c - d * sum(map(mul, y, col)), d * col[len(y)])
+                if r:
+                    return False
+                y.append(q)
         return True
 
     def __eq__(self, other):
@@ -167,17 +190,21 @@ def _products(order, A, B):
     return out
 
 
-def _ideal_from_rows(order, den, rows, eps):
-    """The ideal spanned by the integer rows over den, oriented by eps."""
+def _ideal_from_rows(order, den, rows, eps, module):
+    """The ideal spanned by the integer rows over den, with eps and module."""
     H = hnf(rows)
     if len(H) != order.n:
         raise DomainError("ideal basis is not full rank")
-    return OrientedIdeal(order, den, H, eps)
+    ideal = OrientedIdeal(order, den, H, eps)
+    ideal.module = module
+    return ideal
 
 
 def unit_ideal(order: Order) -> OrientedIdeal:
     n = order.n
-    return OrientedIdeal(order, 1, [[int(i == j) for j in range(n)] for i in range(n)], 1)
+    ideal = OrientedIdeal(order, 1, [[int(i == j) for j in range(n)] for i in range(n)], 1)
+    ideal.module = True
+    return ideal
 
 
 def power_ideal(order: Order, k: int) -> OrientedIdeal:
@@ -185,10 +212,13 @@ def power_ideal(order: Order, k: int) -> OrientedIdeal:
     n = order.n
     if not 0 <= k <= n - 1:
         raise DomainError("k out of range")
-    # the natural basis in zeta coordinates: theta^j for j <= k, then zeta_j
+    # the natural basis in zeta coordinates over e: theta^j for j <= k, then zeta_j;
+    # lower triangular with diagonal 1, 1/f0 (k times), 1, ..., so eps = sign(f0)^k
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [order.natural_coords(e, 0) for e in unit[:k + 1]] + unit[k + 1:]
-    ideal = _ideal_from_rows(order, *_clear(rows), 1 if det(rows) > 0 else -1)
+    nat = [order._natural(row, 0) for row in unit[:k + 1]]
+    e = nat[0][0]
+    rows = [c for _, c in nat] + [[e * x for x in row] for row in unit[k + 1:]]
+    ideal = _ideal_from_rows(order, e, rows, -1 if order.f.f0 < 0 and k % 2 else 1, True)
     assert ideal.norm() == Fraction(1) / order.f.f0**k
     return ideal
 
@@ -197,13 +227,15 @@ def ideal_mul(I: OrientedIdeal, J: OrientedIdeal) -> OrientedIdeal:
     if I.order != J.order:
         raise DomainError("ideals of different orders")
     rows = _products(I.order, I.mat, J.mat)
-    return _ideal_from_rows(I.order, I.den * J.den, rows, I.eps * J.eps)
+    return _ideal_from_rows(I.order, I.den * J.den, rows, I.eps * J.eps, I.module or J.module)
 
 
 def ideal_pow(I: OrientedIdeal, k: int) -> OrientedIdeal:
+    """R_f I^k: from I when its module bit is set, else from the product R_f I.
+    Both give the one reduced HNF over the least denominator of the lattice."""
     if k < 0:
         raise DomainError("negative ideal power")
-    out = unit_ideal(I.order)
+    out, k = (I, k - 1) if k and I.module else (unit_ideal(I.order), k)
     for _ in range(k):
         out = ideal_mul(out, I)
     return out
@@ -214,14 +246,14 @@ def scalar_ideal(c, I: OrientedIdeal) -> OrientedIdeal:
     nc = c.norm()
     if nc == 0:
         raise DomainError("scalar must be invertible")
-    den, (row,) = _clear([I.order.to_basis(c)])
+    den, row = I.order._coords(c)
     eps = I.eps * (1 if nc > 0 else -1)
-    return _ideal_from_rows(I.order, den * I.den, _products(I.order, [row], I.mat), eps)
+    return _ideal_from_rows(I.order, den * I.den, _products(I.order, [row], I.mat), eps, I.module)
 
 
 def module_stable(I: OrientedIdeal) -> bool:
     """R_f * I = I as a lattice?"""
-    return ideal_mul(unit_ideal(I.order), I).mat == hnf(I.mat)
+    return ideal_mul(unit_ideal(I.order), I).mat == tuple(map(tuple, hnf(I.mat)))
 
 
 def _module_pair(order: Order, I: OrientedIdeal, alpha):
@@ -241,7 +273,7 @@ def _module_pair(order: Order, I: OrientedIdeal, alpha):
         raise DomainError("ideal of a different order")
     if not alpha.is_unit:
         raise DomainError("alpha must be invertible")
-    da, (ainv,) = _clear([order.to_basis(alpha.inverse())])
+    da, ainv = order._coords(alpha.inverse())
     den = I.den * I.den * da
     rows = [[-x for x in I.mat[0]], *I.mat[1:]] if I.eps < 0 else I.mat
     bb = [p for i in range(n) for p in _products(order, [rows[i]], rows[i:])]
@@ -311,20 +343,19 @@ def inverse_different_check(order: Order):
     Also verifies on the full basis that Tr(lambda mu / f'(theta)) equals the
     zeta_(n-1) coefficient of lambda mu in the natural basis of I_f(n-2).
     For zeta_i zeta_j both sides are T[i][j] dotted with their values at the
-    zeta_k: Tr(zeta_k / f'(theta)), and Z[k][n-1] / f0.
+    zeta_k, Z[k] dotted with Tr(theta^m / f'(theta)) and Z[k][n-1] / f0; with
+    T[0][k] = e_k, they agree on all products exactly when those values agree.
     """
     n = order.n
     if n < 2:
         raise DomainError("need n >= 2")
-    L = order.algebra
-    fprime = L.from_poly(order.f.dehomogenized().derivative())
-    fpinv = fprime.inverse()
+    fpinv = order.algebra.from_poly(order.f.dehomogenized().derivative()).inverse()
     Ddual = scalar_ideal(fpinv, power_ideal(order, n - 2))
-    contained = all(Ddual.contains(b) for b in order.basis)
-    traces = [(b * fpinv).trace() for b in order.basis]
+    contained = Ddual._holds(1, *([int(i == j) for j in range(n)] for i in range(n)))
+    shifted = [fpinv.trace(shift=m) for m in range(n)]
+    traces = [sum(map(mul, row, shifted)) for row in order.Z]
     tops = [Fraction(row[n - 1], order.f.f0) for row in order.Z]
-    assert all(sum(map(mul, t, traces)) == sum(map(mul, t, tops))
-               for row in order.table for t in row)
+    assert traces == tops
     index = Fraction(1) / abs(Ddual.norm())
     assert index.denominator == 1
     return contained, int(index)

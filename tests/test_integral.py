@@ -8,6 +8,7 @@ import pytest
 
 from quadpencil import BinaryForm, OrbitParam, g_equivalent, invariant_binary_form, pencil_to_param
 from quadpencil.errors import DomainError
+from quadpencil.jsonio import ideal_to_json, json_to_ideal
 from quadpencil.linalg import is_symmetric, mat_mul, transpose
 from quadpencil.orders import (
     OrientedIdeal,
@@ -107,7 +108,7 @@ def test_power_ideals():
 def test_power_ideal_pinned():
     O = form_order(F2357)
     I1 = power_ideal(O, 1)
-    assert (I1.den, I1.mat, I1.eps) == (2, [[2, 0, 0], [0, 1, 0], [0, 0, 2]], 1)
+    assert (I1.den, I1.mat, I1.eps) == (2, ((2, 0, 0), (0, 1, 0), (0, 0, 2)), 1)
     assert ideal_mul(I1, I1) == power_ideal(O, 2)
 
 
@@ -290,6 +291,66 @@ def test_ideal_pow_is_power_ideal():
             assert _key(ideal_pow(I1, k)) == _key(power_ideal(O, k))
 
 
+def _doubled_lattice(O):
+    """Z + 2 zeta_1 Z + ... + 2 zeta_(n-1) Z, not an R_f-module: zeta_1 * 1
+    is missing."""
+    n = O.n
+    return OrientedIdeal(O, 1, [[int(i == j) * (1 if i == 0 else 2) for j in range(n)]
+                                for i in range(n)], 1)
+
+
+def test_module_bit_only_on_proven_modules():
+    # every ideal that carries the bit is R_f-stable by the independent
+    # reference check; direct construction and json_to_ideal never set it
+    rng = random.Random(82)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        built = [unit_ideal(O)] + [power_ideal(O, k) for k in range(n)]
+        assert all(I.module for I in built)
+        others = _ideals(rng, O)[n:] + [_doubled_lattice(O),
+                                        json_to_ideal(O, ideal_to_json(built[2]))]
+        assert not any(I.module for I in others)
+        for _ in range(4):
+            I, J = rng.choice(built + others), rng.choice(built + others)
+            P = ideal_mul(I, J)
+            assert P.module == (I.module or J.module)
+            built.append(P)
+            c = O.algebra.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(n)])
+            if c.norm() != 0:
+                S = scalar_ideal(c, I)
+                assert S.module == I.module
+                built.append(S)
+        for I in built:
+            if I.module:
+                assert reference_module_stable(I)
+        # module_stable decides from the lattice, never from the bit
+        forged = _doubled_lattice(O)
+        forged.module = True
+        assert not module_stable(forged)
+
+
+def test_ideal_pow_without_module_bit_starts_from_unit_ideal():
+    # R_f L^k by repeated reference products from the unit ideal, for a
+    # rebased copy with eps = -1, a lattice that is no R_f-module, and an
+    # ideal read from JSON
+    rng = random.Random(83)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        I = power_ideal(O, rng.randrange(n))
+        U = unimodular(rng, n)
+        rebased = OrientedIdeal(O, I.den, [[int(x) for x in row] for row in mat_mul(U, I.mat)], -1)
+        read = json_to_ideal(O, ideal_to_json(power_ideal(O, 1)))
+        for L in (rebased, _doubled_lattice(O), read):
+            assert not L.module
+            want = unit_ideal(O)
+            for k in range(n):
+                assert _key(ideal_pow(L, k)) == _key(want)
+                want = reference_ideal_mul(want, L)
+
+
 def test_scalar_ideal_matches_element_products():
     rng = random.Random(73)
     for f in _diff_forms():
@@ -330,9 +391,8 @@ def test_module_stable_on_power_ideals_and_other_lattices():
         # rebased and scaled ideals are stable too
         for I in _ideals(rng, O)[n:]:
             assert module_stable(I) and reference_module_stable(I)
-        # Z + 2 zeta_1 Z + ... + 2 zeta_(n-1) Z is not: zeta_1 * 1 is missing
-        L = OrientedIdeal(O, 1, [[int(i == j) * (1 if i == 0 else 2) for j in range(n)]
-                                 for i in range(n)], 1)
+        # Z + 2 zeta_1 Z + ... + 2 zeta_(n-1) Z is not
+        L = _doubled_lattice(O)
         assert not module_stable(L)
         assert not reference_module_stable(L)
         for _ in range(3):
@@ -396,6 +456,29 @@ def test_to_basis_matches_inverse_basis_matrix():
             coords = O.to_basis(x)
             assert coords == R.to_basis(x)
             assert O.from_basis(coords) == x
+
+
+def test_integer_coordinates_with_negative_f0():
+    # natural coordinates at every k, the orientation sign(f0)^k of I_f(k),
+    # and the discriminant, against the reference order; f0^(n-1-k) < 0
+    # must not leave a negative denominator
+    rng = random.Random(84)
+    parities = set()
+    for f, R in CLOSED_FORM:
+        if f.f0 > 0:
+            continue
+        parities.add(f.n % 2)
+        O = form_order(f)
+        n = O.n
+        for k in range(n):
+            for _ in range(3):
+                x = [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)]
+                assert O.natural_coords(x, k) == R.natural_coords(x, k)
+            I = power_ideal(O, k)
+            assert I.eps == (-1) ** k
+            assert _key(I) == _key(reference_power_ideal(O, R, k))
+        assert order_disc(O) == reference_order_disc(R)
+    assert parities == {0, 1}
 
 
 def test_power_ideals_match_element_route():

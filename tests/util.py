@@ -7,11 +7,13 @@ The oracles here deliberately avoid the package's own routines: determinants
 are recomputed with a local elimination, resultants come from the Sylvester
 matrix, and discriminants of low degree use the textbook closed forms.
 The reference ideal products keep the algebra-element route (products of
-basis elements, each a sum of the zeta_k as algebra elements, mapped back by
-`to_basis`) that the integer-table products in `orders` replaced, and put
-the rows in HNF by the min-abs loop that the incremental insertion in
-`linalg.hnf` replaced. The reference membership keeps the Fraction solve
-that integer forward substitution replaced, and the reference validity of a
+basis elements, each a sum of the zeta_k as algebra elements, mapped back
+through the reference order's Fraction inverse of the basis matrix, not the
+library's integer back-substitution) that the integer-table products in
+`orders` replaced, and put the rows in HNF by the min-abs loop that the
+incremental insertion in `linalg.hnf` replaced. The reference membership
+keeps the Fraction solve that integer forward substitution replaced, on the
+reference order's coordinates, and the reference validity of a
 module pair tests each b_i b_j for membership in the ideal alpha*I_f(n-3),
 where `orders` reads the integrality of natural coordinates off the table.
 The reference order keeps the construction of R_f
@@ -49,6 +51,7 @@ Fraction inverse with Fraction Krylov vectors, and each E_i(T) as a sum of
 Fraction powers of T.
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -188,10 +191,16 @@ def ideal_basis(I):
             for row in I.mat]
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_order(f):
+    return ReferenceOrder(f)
+
+
 def _reference_ideal(order, elems, eps):
-    """The ideal with generators elems: zeta coordinates by to_basis, cleared
-    of denominators over their lcm, then put in HNF."""
-    return _reference_ideal_rows(order, [order.to_basis(e) for e in elems], eps)
+    """The ideal with generators elems: zeta coordinates by the reference
+    order's to_basis, cleared of denominators over their lcm, then put in HNF."""
+    R = _reference_order(order.f)
+    return _reference_ideal_rows(order, [R.to_basis(e) for e in elems], eps)
 
 
 def _reference_ideal_rows(order, rows, eps):
@@ -222,8 +231,9 @@ def reference_module_stable(I):
 
 
 def reference_contains(I, elem):
-    """Membership by the Fraction Gauss-Jordan solve of mat^T y = den x."""
-    x = I.order.to_basis(elem)
+    """Membership by the Fraction Gauss-Jordan solve of mat^T y = den x, x
+    the zeta coordinates from the reference order."""
+    x = _reference_order(I.order.f).to_basis(elem)
     y = reference_solve([list(col) for col in zip(*I.mat)], [I.den * c for c in x])
     return all(c.denominator == 1 for c in y)
 
@@ -277,6 +287,13 @@ class ReferenceOrder:
     def natural_basis(self, k):
         """1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1): the basis of I_f(k)."""
         return [self.algebra.beta ** j for j in range(k + 1)] + self.basis[k + 1:]
+
+    def natural_coords(self, x, k):
+        """Coordinates of the power-basis vector x in the natural basis of
+        I_f(k), through the Fraction inverse of that basis matrix."""
+        Winv = reference_inverse([list(e.coords) for e in self.natural_basis(k)])
+        return [sum((Fraction(c) * row[j] for c, row in zip(x, Winv)), Fraction(0))
+                for j in range(len(Winv))]
 
 
 def reference_order_disc(R):
