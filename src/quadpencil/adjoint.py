@@ -142,10 +142,11 @@ def adjoint_conjugator(T, Tprime):
          for j, (v, vp) in enumerate(zip(vs, vps))]
     pivots, d = _bareiss(M, n, True)
     assert len(pivots) == n
-    g = [[Fraction(M[j][n + i], d) for j in range(n)] for i in range(n)]
-    # g T = T' g, times D D'
-    assert (mat_mul(g, [[Dp * x for x in r] for r in B])
-            == mat_mul([[D * x for x in r] for r in Bp], g))
+    G = [[M[j][n + i] for j in range(n)] for i in range(n)]  # d g
+    # g T = T' g, times d D D'
+    assert (mat_mul(G, [[Dp * x for x in r] for r in B])
+            == mat_mul([[D * x for x in r] for r in Bp], G))
+    g = [[Fraction(x, d) for x in row] for row in G]
     assert all(g[i][n - 1] == (1 if i == n - 1 else 0) for i in range(n))
     assert all(g[n - 1][j] == (1 if j == n - 1 else 0) for j in range(n))
     return g

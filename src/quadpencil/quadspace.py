@@ -4,9 +4,10 @@ Forms are symmetric Gram matrices G, held as integer rows over one
 denominator; q(w) = w^T G w. Places are encoded as integers: 0 for the real
 place, otherwise a prime p. Local data (Hilbert symbols, Hasse invariants) is
 computed on a squarefree-integer diagonalization, found by fraction-free
-elimination; the valuation of a squarefree entry at p is whether p divides
-it. Global questions (isotropy, equivalence) use the local-global principle
-over the finite certified place set {0, 2, primes of the diagonal}.
+elimination once per form and kept on it; the valuation of a squarefree
+entry at p is whether p divides it. Global questions (isotropy, equivalence)
+use the local-global principle over the finite certified place set
+{0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
@@ -14,14 +15,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import DomainError
-from .intutil import (
-    factorint,
-    is_prime,
-    is_square_rational,
-    rational_sqrt,
-    shell_prefixes,
-    squarefree_part,
-)
+from .intutil import factorint, is_prime, is_square_rational, shell_prefixes, squarefree_part
 from .linalg import _clear, _congruence, _fractions, _int_mul, det, is_symmetric, vec_mat
 
 REAL_PLACE = 0
@@ -30,14 +24,16 @@ REAL_PLACE = 0
 class QuadForm:
     """A symmetric Gram matrix G, held as integer rows `ints` = D G over
     `den` = D, the lcm of its entries' denominators; `gram` reads them as a
-    Fraction matrix."""
+    Fraction matrix. `ints` is read-only: the form keeps its one
+    diagonalization in `_diag` (set by the first `diagonalize`)."""
 
-    __slots__ = ("den", "ints")
+    __slots__ = ("den", "ints", "_diag")
 
     def __init__(self, gram):
         self.den, self.ints = _clear(gram)
         if not is_symmetric(self.ints):
             raise DomainError("Gram matrix must be symmetric")
+        self._diag = None
 
     gram = property(lambda self: _fractions(self.den, self.ints))
     dim = property(lambda self: len(self.ints))
@@ -57,6 +53,7 @@ class QuadForm:
         """P^T G P, the congruence action, on the integer rows."""
         out = object.__new__(QuadForm)
         out.den, (out.ints,) = _congruence(P, self.den, self.ints)
+        out._diag = None
         return out
 
     def __eq__(self, other):
@@ -73,19 +70,17 @@ def _require_nondegenerate(q):
         raise DomainError("degenerate quadratic form")
 
 
-def diagonalize(q: QuadForm):
-    """(entries, P) with P^T G P = diag(entries), entries squarefree integers.
+def _eliminate(D, ints):
+    """(g, P, s): P^T (D G) P = diag(g) for the integer rows `ints` = D G.
 
-    Fraction-free: G is cleared once by D, the lcm of its denominators, and
-    each column c of the integer P carries a scale s_c, so that the true
-    column is P[.][c] / s_c and the true G[r][c] is G[r][c] / (D s_r s_c).
-    A step col_j <- a col_j + b col_i acts on both sides of G and on P, and
-    s_j *= a; the pivot sequence is that of the rational elimination.
+    Fraction-free: each column c of the integer P carries a scale s_c, so
+    that the true column is P[.][c] / s_c and the true G[r][c] is
+    G[r][c] / (D s_r s_c). A step col_j <- a col_j + b col_i acts on both
+    sides of G and on P, and s_j *= a; the pivot sequence is that of the
+    rational elimination.
     """
-    n = q.dim
-    if not n:
-        return [], []
-    D, G = q.den, [row[:] for row in q.ints]
+    n = len(ints)
+    G = [row[:] for row in ints]
     P = [[int(i == j) for j in range(n)] for i in range(n)]
     s = [1] * n
 
@@ -120,20 +115,36 @@ def diagonalize(q: QuadForm):
         for j in range(i + 1, n):
             if G[i][j] != 0:
                 combine(j, i, G[i][i], -G[i][j])
-    # P^T (D G) P = diag(D s_i^2 d_i): with c^2 d_i = e_i, P'^T G P' = diag(e_i)
-    assert _int_mul(zip(*P), _int_mul(q.ints, P)) == [
-        [G[i][i] if i == j else 0 for j in range(n)] for i in range(n)]
-    entries, scales = [], []
-    for i in range(n):
-        d = Fraction(G[i][i], D * s[i] ** 2)
-        e = squarefree_part(d)
-        # scale column so the diagonal entry becomes its squarefree part
-        c = rational_sqrt(e / d)
-        assert c * c * d == e
-        scales.append(c / s[i])
-        entries.append(e)
-    P = [[x * c for x, c in zip(row, scales)] for row in P]
-    return entries, P
+    g = [G[i][i] for i in range(n)]
+    assert _int_mul(zip(*P), _int_mul(ints, P)) == [
+        [g[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return g, P, s
+
+
+def diagonalize(q: QuadForm):
+    """(entries, P) with P^T G P = diag(entries), entries squarefree integers.
+
+    The elimination runs once per form and its result is kept on the form;
+    each call returns fresh lists. From `_eliminate`, the true diagonal
+    entry is d_i = g_i / (D s_i^2), in the square class of g_i D, so e_i is
+    the squarefree part of g_i D (their common square divided out first),
+    and column i of P is scaled by sign(s_i) sqrt(e_i D / g_i).
+    """
+    if q._diag is None:
+        g, P, s = _eliminate(q.den, q.ints)
+        D, entries, scales = q.den, [], []
+        for gi, si in zip(g, s):
+            k = gcd(gi, D)
+            e = squarefree_part(gi // k * (D // k))
+            c = gcd(e * D, gi) if gi > 0 else -gcd(e * D, gi)
+            a, b = isqrt(e * D // c), isqrt(gi // c)
+            assert a * a * c == e * D and b * b * c == gi  # e D / g_i = a^2 / b^2, reduced
+            entries.append(e)
+            scales.append((a if si > 0 else -a, b))
+        q._diag = tuple(entries), tuple(
+            tuple(Fraction(x * a, b) for x, (a, b) in zip(row, scales)) for row in P)
+    entries, P = q._diag
+    return list(entries), [list(row) for row in P]
 
 
 def _legendre(u, p):

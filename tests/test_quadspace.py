@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 
+from quadpencil import quadspace
 from quadpencil.errors import DomainError
 from quadpencil.quadspace import (
     REAL_PLACE,
@@ -143,6 +144,81 @@ def test_diagonalize_output_pinned_on_random_forms():
             q = rat_form(rng, n, zero_diagonal=k % 3 == 0)
             h.update(repr(outcome(diagonalize, q)).encode())
     assert h.hexdigest() == "05bdcff6c02cd84cfbc1b63b45091e7977c288ad3323d032932387a85d055b46"
+
+
+def test_elimination_runs_once_per_form(monkeypatch):
+    runs = []
+    eliminate = quadspace._eliminate
+
+    def spy(D, ints):
+        runs.append(ints)
+        return eliminate(D, ints)
+
+    monkeypatch.setattr(quadspace, "_eliminate", spy)
+    q = QuadForm([[0, -1, 2], [-1, -4, 1], [2, 1, 3]])
+    first = diagonalize(q)
+    hasse_invariant(q, 2)
+    certified_places(q)
+    signature(q)
+    is_isotropic(q)
+    isotropy_witness(q, 3)
+    forms_equivalent(q, q)
+    spin_obstruction(q)
+    assert diagonalize(q) == first and len(runs) == 1
+    moved = q.transformed([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert forms_equivalent(moved, q) and len(runs) == 2
+    assert diagonalize(moved) == reference_diagonalize(moved) and len(runs) == 2
+    twin = QuadForm(q.gram)
+    assert twin == q and diagonalize(twin) == first and len(runs) == 3
+    assert signature(twin) == signature(moved) and len(runs) == 3
+
+
+def test_diagonalize_returns_fresh_lists():
+    q = QuadForm([[2, 1, 0], [1, -3, 4], [0, 4, 1]])
+    entries, P = diagonalize(q)
+    kept = (list(entries), [list(row) for row in P])
+    entries.append(7)
+    entries[0] = 0
+    P[0][0] = Fraction(99)
+    P[1].clear()
+    P.append([1])
+    assert diagonalize(q) == kept == reference_diagonalize(q)
+
+
+def test_degenerate_form_is_never_memoized():
+    for G in ([[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+        q = QuadForm(G)
+        for query in (diagonalize, diagonalize, signature, is_isotropic, diagonalize):
+            with pytest.raises(DomainError, match="^degenerate quadratic form$"):
+                query(q)
+            assert q._diag is None
+
+
+def test_witness_is_the_same_across_the_memo():
+    """is_isotropic first, then isotropy_witness on the same object, gives
+    the witness of a fresh copy and of the cube scan; each form is moved from
+    one that was diagonalized first."""
+    rng = random.Random(94)
+    forms = [QuadForm([[0, -1], [-1, -4]]), QuadForm([[0, 1], [1, 0]])]
+    for k in range(40):
+        n = 2 + k % 4
+        H = [[0] * n for _ in range(n)]
+        H[0][1] = H[1][0] = rng.choice((1, -1, 2, -3))
+        for i in range(2, n):
+            H[i][i] = rng.choice((-5, -3, -1, 1, 2, 7))
+        base = QuadForm(H)
+        assert is_isotropic(base)
+        forms.append(base.transformed(random_invertible(rng, n, -2, 2)))
+    found = 0
+    for q in forms:
+        bound = 4 if q.dim < 5 else 2
+        assert is_isotropic(q)
+        w = isotropy_witness(q, bound)
+        assert w == isotropy_witness(QuadForm(q.gram), bound)
+        assert w == reference_isotropy_witness(QuadForm(q.gram), bound)
+        found += w is not None
+    assert isotropy_witness(forms[0], 2) == [-1, 0]
+    assert found >= 25
 
 
 def assert_reduced(q, G):

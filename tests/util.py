@@ -72,7 +72,6 @@ from quadpencil.linalg import charpoly
 from quadpencil.orders import OrientedIdeal
 from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
-from quadpencil.quadspace import diagonalize
 
 
 def frac_det(rows):
@@ -354,8 +353,9 @@ def reference_inverse_different_check(R):
 def reference_isotropy_witness(q, bound):
     """First zero y of the diagonal, height 1..bound, each whole cube
     [-h, h]^n scanned in lexicographic order and filtered to max |y_i| = h;
-    mapped back through P and made primitive."""
-    entries, P = diagonalize(q)
+    mapped back through P and made primitive. The diagonalization is
+    `reference_diagonalize`, the Fraction route, not the library's."""
+    entries, P = reference_diagonalize(q)
     n = len(entries)
     for h in range(1, bound + 1):
         for y in product(range(-h, h + 1), repeat=n):
