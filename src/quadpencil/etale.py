@@ -5,9 +5,10 @@ the class of x, so arithmetic runs on integer numerators over one
 denominator; `coords` is the Fraction view in the power basis
 1, beta, ..., beta^(n-1), padded to length n. The trace form identity
 Tr(beta^j / g'(beta)) = [j = n-1] (j <= n-1) drives the moment solver used by
-the pencil module. Traces are dot products with the power sums
-p_k = Tr(beta^k), norms are resultants N(a) = Res(g, a), and an inverse is
-one fraction-free elimination on the integer multiplication matrix M_a.
+the pencil module. A trace is one integer dot product with the power sums of
+beta' = e beta (e = g.den), norms are resultants N(a) = Res(g, a), and an
+inverse is one fraction-free elimination on the integer multiplication matrix
+M_a; the inverse keeps its own inverse.
 There is one live algebra per g; its caches are shared: constructing an
 algebra for a g equal to that of one still alive returns that one, with the
 factors and idempotents it has already computed.
@@ -80,7 +81,7 @@ class EtaleAlgebra:
                 num, den = [E * c - top * gc for c, gc in zip(num, G)], den * E
             pows.append(_make(num, den))
         self._beta_pows = pows
-        self._power_sums = None
+        self._traces = None
         _LIVE[g] = self
 
     @property
@@ -92,15 +93,20 @@ class EtaleAlgebra:
             self._factors = [f for f, _ in facs]
         return self._factors
 
+    def _trace_ints(self):
+        """(q, e^K) with Tr(beta^k) = q_k / e^K for k <= K = 3n - 2, all integers:
+        q_k = e^(K-k) Tr(beta'^k) for beta' = e beta, e = g.den (_power_sums)."""
+        if self._traces is None:
+            e, K = self.g.den, 3 * self.n - 2
+            sums = _power_sums(_integral(self.g), K + 1)
+            self._traces = [x * e ** (K - k) for k, x in enumerate(sums)], e**K
+        return self._traces
+
     @property
     def power_sums(self):
-        """p_k = Tr(beta^k) for k < 3n - 1, enough for Tr(beta^k a), k < 2n:
-        Tr(beta'^k) / e^k for beta' = e beta, e = g.den (_power_sums)."""
-        if self._power_sums is None:
-            e = self.g.den
-            sums = _power_sums(_integral(self.g), 3 * self.n - 1)
-            self._power_sums = [Fraction(x, e**k) for k, x in enumerate(sums)]
-        return self._power_sums
+        """p_k = Tr(beta^k) for k < 3n - 1, as Fractions."""
+        q, eK = self._trace_ints()
+        return [Fraction(x, eK) for x in q]
 
     def element(self, coords):
         cs = list(coords)
@@ -166,11 +172,12 @@ class EtaleAlgebra:
 
 
 class AlgElement:
-    __slots__ = ("A", "_poly")
+    __slots__ = ("A", "_poly", "_inv")
 
     def __init__(self, algebra, poly):
         self.A = algebra
         self._poly = poly
+        self._inv = None  # set on an element that inverse() returned
 
     def poly(self) -> Poly:
         return self._poly
@@ -261,9 +268,10 @@ class AlgElement:
         return _fractions(e, M)
 
     def trace(self, shift=0) -> Fraction:
-        """Tr(beta^shift * self) for 0 <= shift < 2n, a dot product with power sums."""
-        p = self.A.power_sums[shift:]
-        return sum(map(mul, self._poly.coeffs, p), Fraction(0))
+        """Tr(beta^shift * self) for 0 <= shift < 2n: one integer dot product
+        of the numerators with q[shift:], over den e^K (_trace_ints)."""
+        q, eK = self.A._trace_ints()
+        return Fraction(sum(map(mul, self._poly.num, q[shift:])), self._poly.den * eK)
 
     def norm(self) -> Fraction:
         return resultant(self.A.g, self._poly)
@@ -278,7 +286,10 @@ class AlgElement:
 
     def inverse(self):
         """The x with self * x = 1: for the multiplication matrix M / e, one
-        fraction-free elimination of [M | e e_0] leaves [d I | d x]."""
+        fraction-free elimination of [M | e e_0] leaves [d I | d x]. x keeps
+        self as its inverse (self keeps nothing: no reference cycle)."""
+        if self._inv is not None:
+            return self._inv
         n = self.A.n
         M, e = self._mult_ints()
         for i, row in enumerate(M):
@@ -286,7 +297,9 @@ class AlgElement:
         pivots, d = _bareiss(M, n, True)
         if len(pivots) < n:
             raise DomainError("element is not invertible")
-        return AlgElement(self.A, _make([row[n] for row in M], d))
+        x = AlgElement(self.A, _make([row[n] for row in M], d))
+        x._inv = self
+        return x
 
     def __repr__(self):
         return "AlgElement(%s)" % (tuple(str(c) for c in self.coords),)

@@ -6,11 +6,11 @@ disc f != 0) correspond to pairs (alpha, t) with alpha a unit in
 L = Q[x]/(g), f(x,1) = f0 g(x), and t^2 = f0 N(alpha); two pairs give the
 same orbit exactly when (alpha, t) = (c^2 alpha', N(c) t') for a unit c.
 A pair is held as integer rows over one denominator, on which the invariant
-form, T = A^(-1) B and the congruence action are computed. For a stable pair
-one elimination gives T and d = det A, and f follows from the identity
-det(sA - B) = det(A) det(sI - T) and the characteristic polynomial of T; the
-pair memoizes this, so the orbit parameter and the stabilizer of one pair
-share it.
+form, T = A^(-1) B and the congruence action are computed. When det A != 0
+one elimination gives T and d = det A, and the invariant form is read off the
+same elimination, by the identity det(sA - B) = det(A) det(sI - T) and the
+characteristic polynomial of T; the pair memoizes this, so its invariant
+form, orbit parameter and stabilizer share it.
 """
 
 from fractions import Fraction
@@ -36,7 +36,8 @@ from .polys import discriminant, real_root_count
 class SymPair:
     """A pair of symmetric n x n rational matrices, held as integer rows
     `ints` = (D A, D B) over `den` = D, the lcm of the entries' denominators;
-    `A` and `B` read them as Fraction matrices; `_T` memoizes _stable_T."""
+    `A` and `B` read them as Fraction matrices; `_T` memoizes the one
+    elimination (_eliminate) that T and, when det A != 0, f are read off."""
 
     __slots__ = ("den", "ints", "_T")
 
@@ -130,20 +131,23 @@ def _sign(n):
 
 
 def invariant_binary_form(pair: SymPair) -> BinaryForm:
-    """f(x,y) = (-1)^(n(n-1)/2) det(xA - yB), coefficients f0..fn."""
-    return _form(pair.den, *pair.ints)
+    """f(x,y) = (-1)^(n(n-1)/2) det(xA - yB), coefficients f0..fn: read off
+    the pair's one elimination when det A != 0, else n + 1 determinants."""
+    memo = _eliminate(pair)
+    return memo[0] if memo else _form(pair.den, *pair.ints)
 
 
-def _stable_T(pair: SymPair):
-    """(f, D, A', B', d, S) for a stable pencil, with (D, (A', B')) its
-    integer rows, d = det A' and S = d T for T = A^(-1) B; memoized on the
-    pair.
+def _eliminate(pair: SymPair):
+    """(f, D, A', B', d, S, g) when det A != 0 and False when det A = 0,
+    memoized on the pair: (D, (A', B')) its integer rows, d = det A', S = d T
+    for T = A^(-1) B, and g = f.monic_part() once _stable_T has checked f
+    (None before).
 
     One Jordan elimination of [A' | B'] leaves d I on the left and S on the
     right. Since det(sA' - B') = d det(sI - T) and charpoly(S)(x) =
     d^n det(x/d - T), f_i = sign chi_(n-i) d / (D^n d^i) for chi =
     charpoly(S) (Bareiss, Math. Comp. 22, 1968; Faddeev-LeVerrier). Fewer
-    than n pivots means det A = 0, so f0 = 0.
+    than n pivots means det A = 0.
     """
     if pair._T is None:
         n = pair.n
@@ -151,13 +155,25 @@ def _stable_T(pair: SymPair):
         M = [ra + rb for ra, rb in zip(A, B)]
         pivots, d = _bareiss(M, n, True)
         if len(pivots) < n:
-            raise DomainError("pencil is not stable: f0 = 0")
+            pair._T = False
+            return False
         S = [row[n:] for row in M]
         chi, Dn, sign = charpoly(S).num, D**n, _sign(n)
         f = BinaryForm([Fraction(sign * chi[n - i] * d, Dn * d**i) for i in range(n + 1)])
-        _require_stable(f)
-        pair._T = f, D, A, B, d, S
+        pair._T = f, D, A, B, d, S, None
     return pair._T
+
+
+def _stable_T(pair: SymPair):
+    """The memo of _eliminate for a stable pencil, its g filled in by the
+    pair's one stability check; det A = 0 means f0 = 0."""
+    memo = _eliminate(pair)
+    if not memo:
+        raise DomainError("pencil is not stable: f0 = 0")
+    if memo[-1] is None:
+        _require_stable(memo[0])
+        pair._T = memo = (*memo[:-1], memo[0].monic_part())
+    return memo
 
 
 def _require_stable(f: BinaryForm):
@@ -190,13 +206,13 @@ def pencil_to_param(pair: SymPair, seed=0) -> OrbitParam:
 
     T = A^(-1) B is self-adjoint for A with characteristic polynomial g; for a
     cyclic vector m the moments a_i = <m, T^i m>_A determine kappa through
-    Tr(kappa beta^i / g'(beta)) = a_i, and alpha = kappa^(-1),
+    Tr(kappa beta^i / g'(beta)) = a_i, and alpha = kappa^(-1) (which keeps
+    kappa as its inverse, so dividing by alpha takes no elimination),
     t = 1/det[m | Tm | ... | T^(n-1) m]. On the cleared A' = DA, B' = DB and
     d T = d A'^(-1) B': a_i = m^T A' (dT)^i m / (D d^i), and the determinant
     of the integer Krylov vectors is d^(n(n-1)/2) / t.
     """
-    f, D, A, B, d, S = _stable_T(pair)
-    g = f.monic_part()
+    f, D, A, B, d, S, g = _stable_T(pair)
     L = EtaleAlgebra(g)
     n = pair.n
     # f at the point (1, 1), apart from charpoly(S): sign det(A' - B') = D^n f(1, 1)
@@ -314,9 +330,9 @@ def stabilizer_rational(pair: SymPair) -> StabilizerGroup:
     one denominator C; each element M / C is checked to fix the pair (one
     integer congruence), to square to I and to have determinant 1.
     """
-    f, *_, d, S = _stable_T(pair)
+    *_, d, S, g = _stable_T(pair)
     n = pair.n
-    L = EtaleAlgebra(f.monic_part())
+    L = EtaleAlgebra(g)
     degs = [gi.degree for gi in L.factors]
     r = len(degs)
 

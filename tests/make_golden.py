@@ -6,12 +6,17 @@ the call's arguments and standard input, and what it printed and returned.
 cases are drawn from a fixed seed, so the file changes only when the cases or
 the program's output change; regenerate it on request, never inside a test:
 
-    PYTHONPATH=src python tests/make_golden.py
+    PYTHONPATH=src python tests/make_golden.py [--out PATH]
 
-This slice covers `quad iso/equiv/hilbert/spin/gram/lift` and `adj conj`.
-Search bounds stay small, so the whole replay takes well under 2 s.
+`--out` writes the corpus elsewhere, so a check can diff a fresh one against
+the committed file. The cases cover `quad iso/equiv/hilbert/spin/gram/lift`,
+`adj conj`, and `pencil invariant/to-param/from-param/equiv/stab/
+real-obstruction/search`; each group draws from the one generator after the
+groups before it, so a new group is appended at the end. Search bounds stay
+small, so the whole replay takes a few seconds.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -219,17 +224,169 @@ MALFORMED = [
 ]
 
 
+def _det(M):
+    """det M by Gaussian elimination on Fractions."""
+    M = [[Fraction(x) for x in row] for row in M]
+    n, out = len(M), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if M[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p], out = M[p], M[c], -out
+        out *= M[c][c]
+        for r in range(c + 1, n):
+            q = M[r][c] / M[c][c]
+            M[r] = [x - q * y for x, y in zip(M[r], M[c])]
+    return out
+
+
+def _res(p, q):
+    """Res(p, q) as the Sylvester determinant, coefficients low first, p monic."""
+    p, q = list(p), list(q)
+    while q and not q[-1]:
+        q.pop()
+    n, m = len(p) - 1, len(q) - 1
+    rows = [[0] * i + p[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + q[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    return _det(rows)
+
+
+def _mulmod(a, b, g):
+    """a b mod the monic g, coefficients low first, padded to deg g."""
+    n = len(g) - 1
+    c = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in range(len(c) - 1, n - 1, -1):
+        top, c[k] = c[k], 0
+        for i in range(n):
+            c[k - n + i] -= top * g[i]
+    return c[:n]
+
+
+def _separable(rng, n):
+    """A random monic integer g of degree n with disc g != 0, low first."""
+    while True:
+        g = [rng.randint(-4, 4) for _ in range(n)] + [1]
+        if _res(g, [i * c for i, c in enumerate(g)][1:]):
+            return g
+
+
+def _unit(rng, g):
+    """(alpha, N(alpha)) for a random alpha of L = Q[x]/(g) with N(alpha) != 0."""
+    while True:
+        alpha = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in g[1:]]
+        N = _res(g, alpha)
+        if N:
+            return alpha, N
+
+
+def _form_arg(g, f0):
+    return ",".join(str(_r(f0 * c)) for c in reversed(g))
+
+
+def _param(g, alpha, t):
+    return {"g": [_r(c) for c in reversed(g)], "alpha": [_r(a) for a in alpha], "t": _r(t)}
+
+
+def _pencil_pairs(rng):
+    """Random pairs at n = 2..6: integer, rational and split (diagonal, moved)."""
+    for k in range(15):
+        n = 2 + k % 5
+        if k % 3 == 2:
+            D1 = [[Fraction(rng.choice((-3, -2, -1, 1, 2, 5))) * (i == j) for j in range(n)]
+                  for i in range(n)]
+            r = rng.sample(range(-4, 5), n)  # distinct eigenvalues of T = A^-1 B
+            D2 = [[r[i] * D1[i][j] for j in range(n)] for i in range(n)]
+            U = _unimodular(rng, n)
+            yield _mul(_t(U), _mul(D1, U)), _mul(_t(U), _mul(D2, U))
+        else:
+            yield _sym(rng, n, rational=k % 3 == 1), _sym(rng, n, rational=k % 4 == 0)
+
+
+def _pencil_cases(rng):
+    singular = {"A": [[1, 1, 0], [1, 1, 0], [0, 0, 2]], "B": [[0, 1, 0], [1, 0, 0], [0, 0, 1]]}
+    repeated = {"A": [[1, 0], [0, 1]], "B": [["1/2", 0], [0, "1/2"]]}
+    bad = [singular, repeated, {"A": [[1, 2], [3, 4]], "B": [[1, 0], [0, 1]]},
+           {"A": [[1, 0], [0, 1]], "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+           {"A": [[1, 0], [0]], "B": [[1, 0], [0, 1]]}, {"A": [[1]]}]
+    for k, (A, B) in enumerate(_pencil_pairs(rng)):
+        payload = json.dumps({"A": _js(A), "B": _js(B)})
+        yield ["pencil", "invariant"], payload
+        yield ["pencil", "to-param"] + (["--seed", str(k % 3)] if k % 4 == 3 else []), payload
+        if len(A) < 6 or k % 2:
+            yield ["pencil", "stab"], payload
+    for payload in bad:
+        for cmd in ("invariant", "to-param", "stab"):
+            yield ["pencil", cmd], json.dumps(payload)
+    yield ["pencil", "invariant", "--json", json.dumps(singular)], ""
+
+    params = []
+    for k in range(10):
+        n = 2 + k % 5
+        g = _separable(rng, n)
+        alpha, N = _unit(rng, g)
+        s = Fraction(rng.randint(1, 3), rng.choice((1, 2))) * rng.choice((1, -1))
+        params.append((g, alpha, s * N))
+        payload = json.dumps({"alpha": [_r(a) for a in alpha], "t": _r(s * N)})
+        yield ["pencil", "from-param", "--f", _form_arg(g, s * s * N)], payload
+        if k % 3 == 0:  # t^2 != f0 N(alpha)
+            yield ["pencil", "from-param", "--f", _form_arg(g, 2 * s * s * N)], payload
+    yield ["pencil", "from-param", "--f", "1,0,-1"], json.dumps({"alpha": [1, 1], "t": 1})
+    yield ["pencil", "from-param", "--f", "1,2,1"], json.dumps({"alpha": [1, 0], "t": 1})
+
+    for k, (g, alpha, t) in enumerate(params):
+        c = [Fraction(rng.randint(-2, 2)) for _ in g[1:]]
+        Nc = _res(g, c)
+        if not Nc:
+            c, Nc = [Fraction(1)] + [Fraction(0)] * (len(g) - 2), Fraction(1)
+        c2a = _mulmod(_mulmod(c, c, g), alpha, g)
+        if k % 3 == 2 and len(g) % 2:  # n even: -c^2 alpha, same f0, a square iff -1 is
+            p2 = _param(g, [-x for x in c2a], Nc * t)
+        elif k % 3 == 2:  # another alpha, another f0
+            alpha2, N2 = _unit(rng, g)
+            p2 = _param(g, alpha2, t * N2 / _res(g, alpha))
+        else:
+            p2 = _param(g, c2a, Nc * t * (-1 if k % 4 == 1 else 1))
+        yield ["pencil", "equiv"], json.dumps({"p1": _param(g, alpha, t), "p2": p2})
+    yield ["pencil", "equiv"], json.dumps({"p1": {"g": [1, 0, 1], "alpha": [0, 1], "t": 1},
+                                           "p2": {"g": [1, 0, 1], "alpha": [0, -1], "t": 1}})
+    g1, a1, t1 = params[0]
+    g2, a2, t2 = params[5]
+    yield ["pencil", "equiv"], json.dumps({"p1": _param(g1, a1, t1), "p2": _param(g2, a2, t2)})
+    yield ["pencil", "equiv"], json.dumps({"p1": _param(g1, a1, t1)})
+
+    for f in ("-1,0,-1", "1,0,1", "-1,0,3", "-2,1,-1,3", "-1,0,-2,0,-3", "3,1,0,-2,1",
+              "-1,0,0,0,0,0,-1", "1,0,-1,0,0,5,7", "1,2,1", "0,1,1", "1,x", "1"):
+        yield ["pencil", "real-obstruction", "--f", f], ""
+    for f, b in (("-1,0,-1", 3), ("1,0,-2", 3), ("1,0,-3", 2), ("2,0,-1", 3), ("-1,0,3", 1),
+                 ("1,0,0,-2", 3), ("3,1,0,-2,1", 2), ("-1,0,-2,0,-3", 3), ("2,0,1,0,-1,3", 1),
+                 ("1,1,0,0,0,0,-7", 1), ("1,0,-1", 0), ("1,2,1", 2), ("1,0,-2", -1),
+                 ("1,0,-2", "x")):
+        yield ["pencil", "search", "--f", f, "--bound", str(b)], ""
+    for n in (2, 3, 4):
+        g = _separable(rng, n)
+        yield ["pencil", "search", "--f", _form_arg(g, rng.choice((-3, -1, 2, 5))),
+               "--bound", "3"], ""
+
+
 def cases():
     rng = random.Random(SEED)
     for group in (_iso_cases, _equiv_cases, _hilbert_cases, _spin_cases, _gram_cases,
                   _lift_cases, _conj_cases):
         yield from group(rng)
     yield from MALFORMED
+    yield from _pencil_cases(rng)
 
 
-def main():
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Write the golden CLI corpus.")
+    ap.add_argument("--out", default=GOLDEN, help="output path (default: %(default)s)")
+    out = ap.parse_args(argv).out
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    with open(out, "w") as fh:
         for argv, stdin in cases():
             fh.write(json.dumps(run_case(argv, stdin)) + "\n")
 

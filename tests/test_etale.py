@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -616,3 +617,48 @@ def test_registry_drops_dead_algebra():
     gc.collect()
     assert g not in etale._LIVE
     assert EtaleAlgebra(g)._factors is None
+
+
+def test_integer_traces_match_fraction_power_sums():
+    # the integer dot product over den e^K against the Fraction dot product
+    # with power_sums, for every shift k < 2n
+    rng = random.Random(49)
+    algebras = [EtaleAlgebra(Poly([Fraction(1, 3), Fraction(-5, 2), 0, 1])),
+                EtaleAlgebra(Poly([Fraction(7, 4), 0, Fraction(1, 6), Fraction(-1, 2), 1]))]
+    while len(algebras) < 12:
+        n = rng.randint(1, 7)
+        g = Poly([Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 9))) for _ in range(n)] + [1])
+        if is_squarefree(g):
+            algebras.append(EtaleAlgebra(g))
+    assert sum(A.g.den > 1 for A in algebras) >= 8
+    for A in algebras:
+        p = A.power_sums
+        assert len(p) == 3 * A.n - 1 and p[0] == A.n
+        elements = [A.zero, A.one, A.from_rational(Fraction(-2, 7))]
+        elements += [A.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                for _ in range(A.n)]) for _ in range(4)]
+        for a in elements:
+            for k in range(2 * A.n):
+                want = sum(map(mul, a.poly().coeffs, p[k:]), Fraction(0))
+                got = a.trace(k)
+                assert got == want and type(got) is Fraction, (A, a, k)
+        assert A.zero.trace(2 * A.n - 1) == 0
+        assert A.from_rational(Fraction(-2, 7)).trace() == Fraction(-2, 7) * A.n
+
+
+def test_inverse_of_inverse_is_the_element():
+    rng = random.Random(50)
+    for _ in range(20):
+        A = EtaleAlgebra(random_monic_separable(rng, rng.randint(1, 6)))
+        a = rand_unit(rng, A)
+        x = a.inverse()
+        assert x.inverse() is a and a * x == A.one
+        assert a.inverse() == x  # recomputed: a does not hold x
+        assert a / x == a * a and (x ** -2) == a * a
+    A = EtaleAlgebra(poly_from_ints([-1, 0, 1]))
+    zero_divisor = A.beta - A.one
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not invertible"):
+            zero_divisor.inverse()
+    with pytest.raises(DomainError):
+        A.zero.inverse()

@@ -15,6 +15,9 @@ def test_corpus_covers_every_pinned_command():
     for cmd in ("iso", "equiv", "hilbert", "spin", "gram", "lift"):
         assert ("quad", cmd) in seen
     assert ("adj", "conj") in seen
+    for cmd in ("invariant", "to-param", "from-param", "equiv", "stab", "real-obstruction",
+                "search"):
+        assert ("pencil", cmd) in seen
     assert {r["exit"] for r in RECORDS} == {0, 1, 2}
 
 

@@ -680,3 +680,92 @@ def test_stabilizer_after_param_matches_fresh_pair():
         R = stabilizer_rational(fresh)
         assert (S.order, S.geometric_order) == (R.order, R.geometric_order)
         assert S.elements == R.elements and S.generators == R.generators
+
+
+def test_invariant_form_from_elimination_matches_determinants():
+    # f read off the pair's one elimination (det A != 0) or from n + 1
+    # determinants (det A = 0) against _form, on fresh pairs at n = 1..8
+    rng = random.Random(64)
+    seen = {"memo": 0, "singular": 0, "disc": 0}
+    for k in range(400):
+        n = 1 + k % 8
+        A = random_symmetric(rng, n, k % 3 == 1)
+        B = random_symmetric(rng, n, k % 3 == 2)
+        if k % 6 == 3:
+            A = [[x % 2 for x in row] for row in A]  # often singular
+        elif k % 6 == 5:
+            c = Fraction(rng.randint(-3, 3), 2)
+            B = [[c * x for x in row] for row in A]  # T = c I, so disc f = 0
+        pair = SymPair(A, B)
+        f = invariant_binary_form(pair)
+        assert f == pencil._form(pair.den, *pair.ints), (A, B)
+        assert invariant_binary_form(pair) == f
+        if pair._T is False:
+            assert f.f0 == 0
+            seen["singular"] += 1
+        else:
+            assert pair._T[0] is f and pair._T[-1] is None  # stability not yet checked
+            seen["disc" if f.disc() == 0 else "memo"] += 1
+    assert seen["memo"] >= 250 and seen["singular"] >= 20 and seen["disc"] >= 20, seen
+
+
+def test_stable_T_errors_unchanged_after_invariant_form():
+    S2 = [[0, 0], [0, 1]]
+    for A, B, msg in ((S2, I2, "pencil is not stable: f0 = 0"),
+                      (I2, I2, "pencil is not stable: disc(f) = 0")):
+        for first in (False, True):
+            pair = SymPair(A, B)
+            if first:
+                invariant_binary_form(pair)
+            for _ in range(2):  # a rejected pair is rejected every time
+                with pytest.raises(DomainError) as got:
+                    pencil._stable_T(pair)
+                assert str(got.value) == msg
+            for call in (pencil_to_param, stabilizer_rational):
+                with pytest.raises(DomainError) as got:
+                    call(pair)
+                assert str(got.value) == msg
+            assert invariant_binary_form(pair) == pencil._form(pair.den, *pair.ints)
+
+
+def test_pair_takes_one_elimination_and_one_monic_part(monkeypatch):
+    # the workload's order: invariant form, orbit parameter, stabilizer
+    rng = random.Random(65)
+    for n in (2, 3, 5):
+        moved = split_pencil(rng, n)
+        eliminations, monic = [], []
+        bareiss, monic_part = pencil._bareiss, BinaryForm.monic_part
+
+        def counted(M, ncols, jordan):
+            if len(M[0]) == 2 * n:
+                eliminations.append(ncols)
+            return bareiss(M, ncols, jordan)
+
+        def counted_monic(self):
+            monic.append(self)
+            return monic_part(self)
+
+        monkeypatch.setattr(pencil, "_bareiss", counted)
+        monkeypatch.setattr(BinaryForm, "monic_part", counted_monic)
+        f = invariant_binary_form(moved)
+        q = pencil_to_param(moved)
+        S = stabilizer_rational(moved)
+        assert pencil._stable_T(moved)[-1] == q.algebra.g
+        monkeypatch.undo()
+        assert eliminations == [n] and monic == [f]
+        assert invariant_binary_form(moved) is f
+        fresh = SymPair(moved.A, moved.B)
+        assert pencil_to_param(fresh) == q
+        assert stabilizer_rational(fresh).elements == S.elements
+
+
+def test_alpha_keeps_kappa_as_its_inverse():
+    rng = random.Random(66)
+    for n in (2, 4, 6):
+        f, p = random_param(rng, n)
+        q = pencil_to_param(param_to_pencil(f, p))
+        kappa = q.alpha.inverse()  # the moment solution, kept by alpha
+        assert q.alpha * kappa == q.algebra.one and q.alpha.inverse() is kappa
+        assert kappa == AlgElement(q.algebra, q.alpha.poly()).inverse()
+        assert kappa.inverse() == q.alpha
+        assert g_equivalent(p, q) is not None
