@@ -145,7 +145,7 @@ def cmd_integral_order(args):
     O = form_order(jsonio.parse_form_arg(args.f))
     _emit(
         {
-            "basis": [jsonio.vec_to_json(b.coords) for b in O.basis],
+            "basis": [jsonio.vec_to_json(row) for row in O.Z],
             "table": [[list(entry) for entry in row] for row in O.table],
         }
     )

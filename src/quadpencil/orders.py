@@ -17,9 +17,11 @@ coordinates, an orientation sign, and a module bit that only `unit_ideal`,
 `power_ideal`, `ideal_mul` (R I J = I (R J)) and `scalar_ideal` set, each when
 it knows R_f I = I. Products of ideals and scalars multiply those integer rows
 through the table, one dot product per coordinate over the table columns
-precomputed with the order, then take the HNF. Membership is integer forward
-substitution on the HNF of the basis, which is upper triangular with a
-positive diagonal.
+precomputed with the order, then take the HNF. Each ideal keeps the powers
+`ideal_pow` has computed, so R_f I^k costs one product per new k. Membership
+is integer forward substitution on the HNF of the basis, which is upper
+triangular with a positive diagonal, and the norm of an ideal in HNF is the
+product of that diagonal.
 The module pair of (I, alpha) reads off the same table products: the
 zeta_(n-2) and zeta_(n-1) coordinates of b_i b_j / alpha are its coordinates
 on the last two vectors of the natural basis of I_f(n-3), whose other vectors
@@ -28,7 +30,7 @@ containment test when all of those natural coordinates are integers.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 from operator import mul
 
 from .binforms import BinaryForm
@@ -53,7 +55,6 @@ class Order:
         n = f.n
         a = [int(c) for c in f.coeffs]
         self.Z = [[a[k - m] if 0 < m <= k else int(k == m) for m in range(n)] for k in range(n)]
-        self.basis = [self.algebra.element(row) for row in self.Z]
         T = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
@@ -129,9 +130,10 @@ def order_disc(order: Order) -> Fraction:
 class OrientedIdeal:
     """Full-rank R_f-lattice with orientation: the rows of the tuple mat over den,
     in the zeta basis. The bit `module` (R_f I = I is known) is False unless a
-    constructor below that proves it sets it."""
+    constructor below that proves it sets it; `_pows` holds the powers that
+    `ideal_pow` has computed."""
 
-    __slots__ = ("order", "den", "mat", "eps", "module")
+    __slots__ = ("order", "den", "mat", "eps", "module", "_pows")
 
     def __init__(self, order, den, mat, eps):
         if eps not in (1, -1) or den <= 0:
@@ -142,9 +144,15 @@ class OrientedIdeal:
         self.mat = tuple(map(tuple, mat if g == 1 else ([x // g for x in row] for row in mat)))
         self.eps = eps
         self.module = False
+        self._pows = None
 
     def norm(self) -> Fraction:
-        return self.eps * Fraction(det(self.mat), Fraction(self.den) ** self.order.n)
+        """eps det(mat) / den^n; the determinant is the product of the diagonal
+        when mat is upper triangular (every HNF), else a Bareiss elimination."""
+        M, n = self.mat, self.order.n
+        upper = not any(M[i][j] for i in range(1, n) for j in range(i))
+        d = prod(M[i][i] for i in range(n)) if upper else det(M)
+        return self.eps * Fraction(d, self.den ** n)
 
     def contains(self, elem) -> bool:
         """Is elem in the lattice?"""
@@ -231,14 +239,19 @@ def ideal_mul(I: OrientedIdeal, J: OrientedIdeal) -> OrientedIdeal:
 
 
 def ideal_pow(I: OrientedIdeal, k: int) -> OrientedIdeal:
-    """R_f I^k: from I when its module bit is set, else from the product R_f I.
-    Both give the one reduced HNF over the least denominator of the lattice."""
+    """R_f I^k. I keeps the powers R_f I^j (j >= 1) it has computed, so each
+    costs one product, made once: R_f I is I when its module bit is set (kept
+    as None, so that I holds no reference to itself), else the product R_f I;
+    then R_f I^(j+1) = R_f I^j I. Each is the one reduced HNF over the least
+    denominator of its lattice."""
     if k < 0:
         raise DomainError("negative ideal power")
-    out, k = (I, k - 1) if k and I.module else (unit_ideal(I.order), k)
-    for _ in range(k):
-        out = ideal_mul(out, I)
-    return out
+    if k == 0:
+        return unit_ideal(I.order)
+    pows = I._pows = I._pows or [None if I.module else ideal_mul(unit_ideal(I.order), I)]
+    while len(pows) < k:
+        pows.append(ideal_mul(pows[-1] or I, I))
+    return pows[k - 1] or I
 
 
 def scalar_ideal(c, I: OrientedIdeal) -> OrientedIdeal:

@@ -10,10 +10,11 @@ the program's output change; regenerate it on request, never inside a test:
 
 `--out` writes the corpus elsewhere, so a check can diff a fresh one against
 the committed file. The cases cover `quad iso/equiv/hilbert/spin/gram/lift`,
-`adj conj`, and `pencil invariant/to-param/from-param/equiv/stab/
-real-obstruction/search`; each group draws from the one generator after the
-groups before it, so a new group is appended at the end. Search bounds stay
-small, so the whole replay takes a few seconds.
+`adj conj`, `pencil invariant/to-param/from-param/equiv/stab/
+real-obstruction/search`, and `integral order/disc/different/ideal/canonical/
+wood`; each group draws from the one generator after the groups before it, so
+a new group is appended at the end. Search bounds stay small, so the whole
+replay takes a few seconds.
 """
 
 import argparse
@@ -372,6 +373,70 @@ def _pencil_cases(rng):
                "--bound", "3"], ""
 
 
+def _int_form(rng, n):
+    """A random integral form f0..fn with f0 != 0 and disc f != 0, as --f."""
+    while True:
+        cs = [rng.randint(-5, 5) for _ in range(n + 1)]
+        g = [Fraction(c, cs[0]) for c in reversed(cs)] if cs[0] else None
+        if g and _res(g, [i * c for i, c in enumerate(g)][1:]):
+            return ",".join(map(str, cs))
+
+
+def _ideal_of(f, k):
+    """The JSON ideal I_f(k) as `integral ideal` prints it."""
+    out = json.loads(run_case(["integral", "ideal", "--f", f, "--k", str(k)])["stdout"])
+    del out["norm"]
+    return out
+
+
+def _wood(f, ideal, alpha):
+    return ["integral", "wood", "--f", f], json.dumps({"ideal": ideal, "alpha": alpha})
+
+
+def _integral_cases(rng):
+    forms = ["2,3,5,7", "1,0,0,1", "-3,1,0,2", "2,3", "-1,0,1"]
+    forms += [_int_form(rng, n) for n in (2, 3, 3, 4, 5, 5, 6, 7)]
+    for f in forms + ["1,2,1", "0,1,1", "1/2,0,1", "1,x"]:
+        for cmd in ("order", "disc", "different"):
+            yield ["integral", cmd, "--f", f], ""
+    for f in forms:
+        n = len(f.split(",")) - 1
+        for k in range(-1, n + 1):
+            yield ["integral", "ideal", "--f", f, "--k", str(k)], ""
+    for n in (3, 5, 7, 4):
+        yield ["integral", "canonical", "--f", _int_form(rng, n)], ""
+    yield ["integral", "canonical", "--f", "-1,0,1"], ""
+
+    # (I, alpha) at n = 3, 5, 7: the canonical I_f((n-3)/2) with alpha = 1 in HNF,
+    # rows permuted, a lower-triangular basis of the same lattice (when the HNF
+    # is diagonal), eps = -1; then alpha = 0, alpha too long, alpha = 1/2 (the
+    # products lie in alpha R_f, but N(I)^2 != N(alpha)) and a random alpha
+    for n in (3, 5, 7):
+        f = _int_form(rng, n)
+        I = _ideal_of(f, (n - 3) // 2)
+        one = [1] + [0] * (n - 1)
+        yield _wood(f, I, one)
+        yield _wood(f, dict(I, mat=I["mat"][1:] + I["mat"][:1]), one)
+        if all(x == 0 for r, row in enumerate(I["mat"]) for c, x in enumerate(row) if c != r):
+            L = [[rng.randint(-2, 2) if c < r else int(c == r) for c in range(n)]
+                 for r in range(n)]
+            yield _wood(f, dict(I, mat=_js(_mul(L, I["mat"]))), one)
+        yield _wood(f, dict(I, eps=-1), one)
+        yield _wood(f, I, [0] * n)
+        yield _wood(f, I, one + [0])
+        yield _wood(f, I, ["1/2"] + [0] * (n - 1))
+        yield _wood(f, I, [rng.randint(-2, 2) for _ in range(n)])
+    I = _ideal_of("2,3,5,7", 0)
+    for payload in ({"ideal": dict(I, mat=[[1, 0, 0], [0, 1, 0], [1, 1, 0]]), "alpha": [1, 0, 0]},
+                    {"ideal": dict(I, mat=[[1, 0], [0, 1]]), "alpha": [1, 0, 0]},
+                    {"ideal": dict(I, den=0), "alpha": [1, 0, 0]},
+                    {"ideal": dict(I, mat=[[1, 0, 0], [0, 1, 0], [0, 0, "1/2"]]),
+                     "alpha": [1, 0, 0]},
+                    {"ideal": I}):
+        yield ["integral", "wood", "--f", "2,3,5,7"], json.dumps(payload)
+    yield _wood("1,0,-1", _ideal_of("1,0,-1", 0), [1, 0])
+
+
 def cases():
     rng = random.Random(SEED)
     for group in (_iso_cases, _equiv_cases, _hilbert_cases, _spin_cases, _gram_cases,
@@ -379,6 +444,7 @@ def cases():
         yield from group(rng)
     yield from MALFORMED
     yield from _pencil_cases(rng)
+    yield from _integral_cases(rng)
 
 
 def main(argv=None):

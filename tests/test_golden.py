@@ -18,6 +18,8 @@ def test_corpus_covers_every_pinned_command():
     for cmd in ("invariant", "to-param", "from-param", "equiv", "stab", "real-obstruction",
                 "search"):
         assert ("pencil", cmd) in seen
+    for cmd in ("order", "disc", "different", "ideal", "canonical", "wood"):
+        assert ("integral", cmd) in seen
     assert {r["exit"] for r in RECORDS} == {0, 1, 2}
 
 

@@ -30,8 +30,10 @@ from quadpencil.orders import (
 from util import (
     ReferenceOrder,
     frac_det,
+    order_basis,
     random_integral_form,
     reference_ideal_mul,
+    reference_ideal_pow,
     reference_inverse_different_check,
     reference_contains,
     reference_module_stable,
@@ -49,17 +51,18 @@ FCUBE = BinaryForm([1, 0, 0, 1])  # x^3 + y^3
 
 def test_distinguished_basis_pinned():
     O = form_order(F2357)
-    assert tuple(O.basis[1].coords) == (0, 2, 0)  # 2 theta
-    assert tuple(O.basis[2].coords) == (0, 3, 2)  # 2 theta^2 + 3 theta
+    basis = order_basis(O)
+    assert tuple(basis[1].coords) == (0, 2, 0)  # 2 theta
+    assert tuple(basis[2].coords) == (0, 3, 2)  # 2 theta^2 + 3 theta
     # zeta_1^2 = 2 zeta_2 - 3 zeta_1
-    assert O.to_basis(O.basis[1] * O.basis[1]) == [0, -3, 2]
+    assert O.to_basis(basis[1] * basis[1]) == [0, -3, 2]
     assert O.table[1][1] == (0, -3, 2)
 
 
 def test_monic_form_gives_power_basis():
     O = form_order(FCUBE)
-    for k in range(3):
-        assert O.basis[k] == O.algebra.beta_pow(k)
+    for k, z in enumerate(order_basis(O)):
+        assert z == O.algebra.beta_pow(k)
 
 
 def test_multiplication_table_integral():
@@ -291,6 +294,53 @@ def test_ideal_pow_is_power_ideal():
             assert _key(ideal_pow(I1, k)) == _key(power_ideal(O, k))
 
 
+def test_ideal_pow_matches_product_loop_in_any_order():
+    # the powers an ideal keeps equal the k - 1 product loop's, whatever order
+    # they are asked in: ascending, descending, repeated and k = 0; for I_f(1)
+    # with the module bit, and without it for a rebased or scalar-twisted
+    # lattice and for I_f(1) read back from JSON
+    rng = random.Random(84)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        orders = [list(range(n)), list(range(n - 1, -1, -1)),
+                  [rng.randrange(n) for _ in range(2 * n)]]
+        for make in (lambda: power_ideal(O, 1), lambda: _ideals(rng, O)[-1],
+                     lambda: json_to_ideal(O, ideal_to_json(power_ideal(O, 1)))):
+            for ks in orders:
+                I = make()
+                ref = {k: _key(reference_ideal_pow(I, k)) for k in set(ks)}
+                for k in ks:
+                    P = ideal_pow(I, k)
+                    assert _key(P) == ref[k]
+                    if k:
+                        assert P is ideal_pow(I, k)
+                assert all(P is not I for P in I._pows or ())
+                with pytest.raises(DomainError):
+                    ideal_pow(I, -1)
+
+
+def test_norm_matches_determinant():
+    # eps det(mat) / den^n on HNF, row-permuted, lower-triangular and
+    # negative-diagonal mats, and at n = 1
+    rng = random.Random(85)
+    for f in _diff_forms() + [BinaryForm([2, 3]), BinaryForm([-5, 1])]:
+        O = form_order(f)
+        n = O.n
+        for I in [power_ideal(O, k) for k in range(n)] + (_ideals(rng, O)[n:] if n > 1 else []):
+            H = [list(row) for row in I.mat]
+            perm = rng.sample(H, n)
+            L = [[rng.randint(-3, 3) if c < r else rng.choice((1, -1)) * (c == r)
+                  for c in range(n)] for r in range(n)]
+            lower = [[x * rng.choice((1, 2, -3)) if c <= r else 0 for c, x in enumerate(row)]
+                     for r, row in enumerate(L)]
+            negdiag = [[-x if c == r else x for c, x in enumerate(row)] for r, row in enumerate(H)]
+            for mat in (H, perm, lower, negdiag, mat_mul(L, H)):
+                for eps in (1, -1):
+                    J = OrientedIdeal(O, I.den, [[int(x) for x in row] for row in mat], eps)
+                    assert J.norm() == eps * frac_det(J.mat) / Fraction(J.den) ** n
+
+
 def _doubled_lattice(O):
     """Z + 2 zeta_1 Z + ... + 2 zeta_(n-1) Z, not an R_f-module: zeta_1 * 1
     is missing."""
@@ -441,7 +491,7 @@ def test_closed_form_table_matches_element_products():
     for f, R in CLOSED_FORM:
         O = form_order(f)
         assert O.table == R.table
-        assert O.basis == R.basis
+        assert order_basis(O) == R.basis
         assert order_disc(O) == reference_order_disc(R) == f.disc()
 
 

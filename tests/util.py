@@ -11,7 +11,9 @@ basis elements, each a sum of the zeta_k as algebra elements, mapped back
 through the reference order's Fraction inverse of the basis matrix, not the
 library's integer back-substitution) that the integer-table products in
 `orders` replaced, and put the rows in HNF by the min-abs loop that the
-incremental insertion in `linalg.hnf` replaced. The reference membership
+incremental insertion in `linalg.hnf` replaced. The reference ideal power keeps
+the loop of k - 1 products from a fresh start on every call that the powers
+each ideal keeps in `orders` replaced. The reference membership
 keeps the Fraction solve that integer forward substitution replaced, on the
 reference order's coordinates, and the reference validity of a
 module pair tests each b_i b_j for membership in the ideal alpha*I_f(n-3),
@@ -69,7 +71,7 @@ from quadpencil.etale import EtaleAlgebra, euler_trace_solve
 from quadpencil.factor import factor_poly
 from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
 from quadpencil.linalg import charpoly
-from quadpencil.orders import OrientedIdeal
+from quadpencil.orders import OrientedIdeal, ideal_mul, unit_ideal
 from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
 
@@ -182,12 +184,16 @@ def reference_hnf(rows):
     return A[:r]
 
 
+def order_basis(order):
+    """The zeta_k of the order as algebra elements: the rows of Z."""
+    return [order.algebra.element(row) for row in order.Z]
+
+
 def ideal_basis(I):
     """The basis of I as algebra elements: each row over den, summed over
     the zeta_k of the order as algebra elements."""
-    zero = I.order.algebra.zero
-    return [sum((Fraction(x, I.den) * z for x, z in zip(row, I.order.basis)), zero)
-            for row in I.mat]
+    zero, zs = I.order.algebra.zero, order_basis(I.order)
+    return [sum((Fraction(x, I.den) * z for x, z in zip(row, zs)), zero) for row in I.mat]
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,6 +221,17 @@ def reference_ideal_mul(I, J):
     return _reference_ideal(I.order, elems, I.eps * J.eps)
 
 
+def reference_ideal_pow(I, k):
+    """R_f I^k by k - 1 products, started afresh on every call: from I when
+    its module bit is set, else from the unit ideal."""
+    if k < 0:
+        raise DomainError("negative ideal power")
+    out, k = (I, k - 1) if k and I.module else (unit_ideal(I.order), k)
+    for _ in range(k):
+        out = ideal_mul(out, I)
+    return out
+
+
 def reference_scalar_ideal(c, I):
     """c*I through algebra elements, oriented by eps(I) * sign(N(c))."""
     nc = c.norm()
@@ -226,7 +243,7 @@ def reference_scalar_ideal(c, I):
 
 def reference_module_stable(I):
     """R_f * I = I, by membership of every product zeta_i * b in I."""
-    return all(reference_contains(I, z * b) for z in I.order.basis for b in ideal_basis(I))
+    return all(reference_contains(I, z * b) for z in order_basis(I.order) for b in ideal_basis(I))
 
 
 def reference_contains(I, elem):
