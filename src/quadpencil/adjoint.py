@@ -126,15 +126,22 @@ def adjoint_canonical_rep(inv: AdjointInvariants):
 def adjoint_conjugator(T, Tprime):
     """g with g T g^-1 = T', g e_n = e_n, e_n^T g = e_n^T; unique when D != 0.
 
+    The invariants are compared on integers, as `adjoint_invariants` reads
+    them: c_i is (-1)^i times coefficient n - i of `charpoly(B)` over D^i,
+    and a_j the last entry of the Krylov vector B^j e_n over D^j, so each
+    pair is compared cross-multiplied by the other side's D^i.
     D = `regularity_D(T)` = `d_determinant` (Cayley-Hamilton), read off the
     Krylov vectors B^j e_n, j < 2n - 1, of the integer B. Then g maps (T^j e_n)
     to (T'^j e_n), j < n: g^T solves Q^T X = Q'^T, one integer Bareiss solve.
     """
     (D, B), (Dp, Bp) = _square(T, Tprime)
     n = len(B)
-    if adjoint_invariants(T) != adjoint_invariants(Tprime):
-        raise DomainError("invariants differ: matrices are not in the same orbit")
     vs, vps = _krylov(B, 2 * n - 1), _krylov(Bp, n)
+    P, Pp = charpoly(B), charpoly(Bp)
+    if not (all(P.num[n - i] * Pp.den * Dp ** i == Pp.num[n - i] * P.den * D ** i
+                for i in range(1, n + 1))
+            and all(vs[j][-1] * Dp ** j == vps[j][-1] * D ** j for j in range(1, n))):
+        raise DomainError("invariants differ: matrices are not in the same orbit")
     if not det([[vs[i + j][-1] for j in range(n)] for i in range(n)]):
         raise DomainError("irregular: moment determinant vanishes")
     # row j of [Q^T | Q'^T], times (D D')^j

@@ -4,18 +4,22 @@ Forms are symmetric Gram matrices G, held as integer rows over one
 denominator; q(w) = w^T G w. Places are encoded as integers: 0 for the real
 place, otherwise a prime p. Local data (Hilbert symbols, Hasse invariants) is
 computed on a squarefree-integer diagonalization, found by fraction-free
-elimination once per form and kept on it; the valuation of a squarefree
-entry at p is whether p divides it. Global questions (isotropy, equivalence)
-use the local-global principle over the finite certified place set
+elimination once per form and kept on it as integers; only `diagonalize`
+builds the Fraction matrix P. The valuation of a squarefree entry at p is
+whether p divides it, and squarefree parts of products of entries come from
+gcds. Hilbert symbols of rationals factor nothing (see `hilbert_symbol`).
+Global questions (isotropy, equivalence, the spin class) use the
+local-global principle over the finite certified place set
 {0, 2, primes of the diagonal}.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from functools import reduce
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import DomainError
-from .intutil import factorint, is_prime, is_square_rational, shell_prefixes, squarefree_part
+from .intutil import factorint, is_prime, shell_prefixes, squarefree_part
 from .linalg import _clear, _congruence, _fractions, _int_mul, det, is_symmetric, vec_mat
 
 REAL_PLACE = 0
@@ -25,7 +29,7 @@ class QuadForm:
     """A symmetric Gram matrix G, held as integer rows `ints` = D G over
     `den` = D, the lcm of its entries' denominators; `gram` reads them as a
     Fraction matrix. `ints` is read-only: the form keeps its one
-    diagonalization in `_diag` (set by the first `diagonalize`)."""
+    diagonalization in `_diag` (set by the first query, see `_diagonal`)."""
 
     __slots__ = ("den", "ints", "_diag")
 
@@ -121,14 +125,15 @@ def _eliminate(D, ints):
     return g, P, s
 
 
-def diagonalize(q: QuadForm):
-    """(entries, P) with P^T G P = diag(entries), entries squarefree integers.
+def _diagonal(q: QuadForm):
+    """(entries, P, scales), kept on the form: the squarefree diagonal, the
+    integer P of `_eliminate`, and per column an integer pair (a_i, b_i)
+    such that column i of the rational transform is P[.][i] a_i / b_i.
 
-    The elimination runs once per form and its result is kept on the form;
-    each call returns fresh lists. From `_eliminate`, the true diagonal
-    entry is d_i = g_i / (D s_i^2), in the square class of g_i D, so e_i is
-    the squarefree part of g_i D (their common square divided out first),
-    and column i of P is scaled by sign(s_i) sqrt(e_i D / g_i).
+    From `_eliminate`, the true diagonal entry is d_i = g_i / (D s_i^2), in
+    the square class of g_i D, so e_i is the squarefree part of g_i D (their
+    common square divided out first), and column i of P is scaled by
+    sign(s_i) sqrt(e_i D / g_i) = a_i / b_i.
     """
     if q._diag is None:
         g, P, s = _eliminate(q.den, q.ints)
@@ -141,10 +146,19 @@ def diagonalize(q: QuadForm):
             assert a * a * c == e * D and b * b * c == gi  # e D / g_i = a^2 / b^2, reduced
             entries.append(e)
             scales.append((a if si > 0 else -a, b))
-        q._diag = tuple(entries), tuple(
-            tuple(Fraction(x * a, b) for x, (a, b) in zip(row, scales)) for row in P)
-    entries, P = q._diag
-    return list(entries), [list(row) for row in P]
+        q._diag = tuple(entries), tuple(map(tuple, P)), tuple(scales)
+    return q._diag
+
+
+def diagonalize(q: QuadForm):
+    """(entries, P) with P^T G P = diag(entries), entries squarefree integers.
+
+    The elimination runs once per form and its result is kept on the form
+    (`_diagonal`); each call builds P, whose column i is the integer column
+    times a_i / b_i, as fresh lists.
+    """
+    entries, P, scales = _diagonal(q)
+    return list(entries), [[Fraction(x * a, b) for x, (a, b) in zip(row, scales)] for row in P]
 
 
 def _legendre(u, p):
@@ -158,9 +172,9 @@ def _check_place(place):
 
 
 def _symbol(A, B, p) -> int:
-    """(A, B)_p for squarefree nonzero integers A, B and p = 0 or a prime.
-
-    Squarefree, so the valuation at p is 0 or 1: whether p divides.
+    """(A, B)_p for nonzero integers A, B and p = 0 or a prime, p^2 dividing
+    neither (as for squarefree A, B): the valuation at p is 0 or 1, whether
+    p divides.
     """
     if p == REAL_PLACE:
         return -1 if (A < 0 and B < 0) else 1
@@ -179,13 +193,31 @@ def _symbol(A, B, p) -> int:
     return s
 
 
+def _strip_square(A, p):
+    """A with p^2 divided out while it divides: then v_p(A) is 0 or 1."""
+    pp = p * p
+    while A % pp == 0:
+        A //= pp
+    return A
+
+
 def hilbert_symbol(a, b, place) -> int:
-    """(a, b)_v: 1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution."""
+    """(a, b)_v: 1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution.
+
+    Nothing is factored. The integer A = num(a) den(a) is in the square class
+    of a, and so is A with p^2 divided out, whose v_p is 0 or 1. The symbol
+    at p depends only on the valuations and on the unit parts mod p, mod 8
+    at p = 2 (Serre, A Course in Arithmetic, ch. III, Thm. 1), which is what
+    `_symbol` reads. The real place reads only the signs.
+    """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
     _check_place(place)
-    return _symbol(squarefree_part(a), squarefree_part(b), place)
+    A, B = a.numerator * a.denominator, b.numerator * b.denominator
+    if place != REAL_PLACE:
+        A, B = _strip_square(A, place), _strip_square(B, place)
+    return _symbol(A, B, place)
 
 
 def _hasse(entries, place) -> int:
@@ -204,24 +236,36 @@ def _places(entries):
     return places
 
 
+def _sqf_mul(a, b):
+    """squarefree_part(a * b) for squarefree integers a and b: a b is
+    g^2 (a/g)(b/g) with g = gcd(a, b), and a/g, b/g are coprime."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
+
+
+def _sqf_prod(entries, start=1):
+    """squarefree_part(start * prod(entries)), start and entries squarefree."""
+    return reduce(_sqf_mul, entries, start)
+
+
 def _signature(entries):
     pos = sum(1 for d in entries if d > 0)
     return pos, len(entries) - pos
 
 
 def hasse_invariant(q: QuadForm, place) -> int:
-    entries = diagonalize(q)[0]
+    entries = _diagonal(q)[0]
     _check_place(place)
     return _hasse(entries, place)
 
 
 def certified_places(q: QuadForm):
     """{0, 2, odd primes dividing the squarefree diagonal}: symbols are 1 elsewhere."""
-    return _places(diagonalize(q)[0])
+    return _places(_diagonal(q)[0])
 
 
 def signature(q: QuadForm):
-    return _signature(diagonalize(q)[0])
+    return _signature(_diagonal(q)[0])
 
 
 def _local_square(D, place) -> bool:
@@ -243,15 +287,13 @@ def _isotropic(entries) -> bool:
     if n <= 1:
         return False
     if n == 2:
-        return is_square_rational(Fraction(-entries[0] * entries[1]))
-    d = prod(entries)
-    places = _places(entries)
+        return _sqf_mul(-entries[0], entries[1]) == 1
     if n == 3:
-        m = squarefree_part(-d)
-        return all(_symbol(-1, m, v) == _hasse(entries, v) for v in places)
+        m = _sqf_prod(entries, -1)
+        return all(_symbol(-1, m, v) == _hasse(entries, v) for v in _places(entries))
     if n == 4:
-        m = squarefree_part(d)
-        for v in places:
+        m = _sqf_prod(entries)
+        for v in _places(entries):
             if _local_square(m, v) and _hasse(entries, v) != _symbol(-1, -1, v):
                 return False
         return True
@@ -261,7 +303,7 @@ def _isotropic(entries) -> bool:
 
 def is_isotropic(q: QuadForm) -> bool:
     """Does q represent zero nontrivially over the rationals?"""
-    return _isotropic(diagonalize(q)[0])
+    return _isotropic(_diagonal(q)[0])
 
 
 def isotropy_witness(q: QuadForm, bound: int):
@@ -279,10 +321,13 @@ def isotropy_witness(q: QuadForm, bound: int):
 
 def _isotropy_search(q: QuadForm, bound: int):
     """(is_isotropic(q), isotropy_witness(q, bound)) from one diagonalization."""
-    entries, P = diagonalize(q)
+    entries, P, scales = _diagonal(q)
     if not _isotropic(entries):
         return False, None
-    _, P = _clear(P)  # a positive multiple of P: the witness is made primitive
+    # L P for the rational P of `diagonalize`, L = lcm(b_i) > 0: a positive
+    # multiple keeps each column's sign, and the witness is made primitive
+    L = lcm(*(b for _, b in scales))
+    P = [[x * a * (L // b) for x, (a, b) in zip(row, scales)] for row in P]
     head, last = entries[:-1], entries[-1]
     for h in range(1, bound + 1):
         for p, on_shell in shell_prefixes(len(head), h):
@@ -302,11 +347,11 @@ def _isotropy_search(q: QuadForm, bound: int):
 
 def forms_equivalent(q1: QuadForm, q2: QuadForm) -> bool:
     """Rational equivalence: dim, discriminant class, signature, local Hasse data."""
-    e1, _ = diagonalize(q1)
-    e2, _ = diagonalize(q2)
+    e1 = _diagonal(q1)[0]
+    e2 = _diagonal(q2)[0]
     if q1.dim != q2.dim:
         return False
-    if squarefree_part(prod(e1)) != squarefree_part(prod(e2)):
+    if _sqf_prod(e1) != _sqf_prod(e2):
         return False
     if _signature(e1) != _signature(e2):
         return False
@@ -376,8 +421,13 @@ def quaternion_class(u, v) -> BrauerClass2:
         raise DomainError("quaternion parameters must be nonzero")
     U = squarefree_part(u)
     V = squarefree_part(v)
-    ram = {p for p in _places([U, V]) if _symbol(U, V, p) == -1}
-    return BrauerClass2(ram)
+    return BrauerClass2(_ramified(U, V, _places([U, V])))
+
+
+def _ramified(U, V, places):
+    """The places in `places` where (U, V) ramifies, for squarefree integers
+    U, V and a set holding 0, 2 and every prime dividing U V."""
+    return frozenset(p for p in places if _symbol(U, V, p) == -1)
 
 
 def spin_obstruction(q: QuadForm) -> BrauerClass2:
@@ -387,21 +437,25 @@ def spin_obstruction(q: QuadForm) -> BrauerClass2:
     Higher odd dimensions reduce by splitting off two-dimensional pieces:
     the full Clifford class of e + <a, b> is that of <-ab> e plus (a, b),
     and the even Clifford algebra of an odd form <a_1..a_m> is the full
-    Clifford algebra of <-a_m a_1, ..., -a_m a_(m-1)>.
+    Clifford algebra of <-a_m a_1, ..., -a_m a_(m-1)>. Every entry on the
+    way is the squarefree part of a product of diagonal entries, taken by
+    `_sqf_mul`, so only the primes of the diagonal can ramify.
     """
     if q.dim % 2 == 0:
         raise DomainError("even Clifford class computed only for odd dimension")
-    entries, _ = diagonalize(q)
+    entries = _diagonal(q)[0]
     if q.dim == 1:
         return BrauerClass2(frozenset())
+    places = _places(entries)
     if q.dim == 3:
         a, b, c = entries
-        return quaternion_class(-a * b, -a * c)
-    e = [-entries[-1] * x for x in entries[:-1]]
+        return BrauerClass2(_ramified(_sqf_mul(-a, b), _sqf_mul(-a, c), places))
+    e = [_sqf_mul(-entries[-1], x) for x in entries[:-1]]
     acc = frozenset()
     while len(e) > 2:
         a, b = e[-2], e[-1]
-        acc ^= quaternion_class(a, b).places
-        e = [squarefree_part(Fraction(-a * b * x)) for x in e[:-2]]
-    acc ^= quaternion_class(e[0], e[1]).places
+        acc ^= _ramified(a, b, places)
+        ab = _sqf_mul(-a, b)
+        e = [_sqf_mul(ab, x) for x in e[:-2]]
+    acc ^= _ramified(e[0], e[1], places)
     return BrauerClass2(acc)

@@ -11,9 +11,10 @@ the program's output change; regenerate it on request, never inside a test:
 `--out` writes the corpus elsewhere, so a check can diff a fresh one against
 the committed file. The cases cover `quad iso/equiv/hilbert/spin/gram/lift`,
 `adj conj`, `pencil invariant/to-param/from-param/equiv/stab/
-real-obstruction/search`, and `integral order/disc/different/ideal/canonical/
-wood`; each group draws from the one generator after the groups before it, so
-a new group is appended at the end. Search bounds stay small, so the whole
+real-obstruction/search`, `integral order/disc/different/ideal/canonical/
+wood`, `adj inv/canon` and `pf pfaffian/sub/pi/stable`; each group draws
+from the one generator after the groups before it, so a new group is
+appended at the end. Search bounds stay small, so the whole
 replay takes a few seconds.
 """
 
@@ -437,6 +438,58 @@ def _integral_cases(rng):
     yield _wood("1,0,-1", _ideal_of("1,0,-1", 0), [1, 0])
 
 
+def _adj_cases(rng):
+    # adj inv on random T (n = 1..5, some with denominators), then adj canon on
+    # the (c, a) each printed, so regular invariants come back as a matrix and
+    # irregular ones are refused; then malformed and mismatched payloads
+    invs = []
+    for k in range(12):
+        n = 1 + k % 5
+        T = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)) if k % 3 == 2 else 1)
+              for _ in range(n)] for _ in range(n)]
+        argv, stdin = ["adj", "inv"], json.dumps(_js(T))
+        out = json.loads(run_case(argv, stdin)["stdout"])
+        invs.append({"c": out["c"], "a": out["a"]})
+        yield argv, stdin
+    yield ["adj", "inv"], json.dumps([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    yield ["adj", "inv"], json.dumps([[1, 2, 3], [4, 5, 6]])
+    yield ["adj", "inv"], json.dumps([])
+    for inv in invs:
+        yield ["adj", "canon"], json.dumps(inv)
+    yield ["adj", "canon"], json.dumps({"c": [0, 1], "a": ["1/2"]})
+    yield ["adj", "canon"], json.dumps({"c": [1, 2, 3], "a": [1]})
+    yield ["adj", "canon"], json.dumps({"c": [1, 2]})
+    yield ["adj", "canon"], json.dumps({"c": [1, "x"], "a": [0]})
+
+
+def _skew(rng, n, rational=False):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)) if rational else 1)
+            M[i][j], M[j][i] = x, -x
+    return M
+
+
+def _pf_cases(rng):
+    for k in range(8):
+        n = (2, 4, 6)[k % 3]
+        yield ["pf", "pfaffian"], json.dumps(_js(_skew(rng, n, rational=k % 4 == 1)))
+    yield ["pf", "pfaffian"], json.dumps(_js(_skew(rng, 3)))
+    yield ["pf", "pfaffian"], json.dumps([[0, 1], [2, 0]])
+    yield ["pf", "pfaffian"], json.dumps([[0, 1]])
+    triples = [[_js(_skew(rng, 5, rational=k % 3 == 2)) for _ in range(3)] for k in range(6)]
+    zero = [[0] * 5 for _ in range(5)]
+    triples.append([_js(_skew(rng, 5)), zero, zero])
+    for cmd in ("sub", "pi", "stable"):
+        for A, B, C in triples:
+            yield ["pf", cmd], json.dumps({"A": A, "B": B, "C": C})
+    A, B, C = triples[0]
+    yield ["pf", "pi"], json.dumps({"A": A, "B": B, "C": [[0, 1], [-1, 0]]})
+    yield ["pf", "stable"], json.dumps({"A": A, "B": B, "C": [[1] * 5] * 5})
+    yield ["pf", "sub"], json.dumps({"A": A, "B": B})
+
+
 def cases():
     rng = random.Random(SEED)
     for group in (_iso_cases, _equiv_cases, _hilbert_cases, _spin_cases, _gram_cases,
@@ -445,6 +498,8 @@ def cases():
     yield from MALFORMED
     yield from _pencil_cases(rng)
     yield from _integral_cases(rng)
+    yield from _adj_cases(rng)
+    yield from _pf_cases(rng)
 
 
 def main(argv=None):

@@ -17,7 +17,14 @@ from quadpencil.adjoint import (
 from quadpencil.errors import DomainError
 from quadpencil.linalg import charpoly, mat, mat_mul
 
-from util import frac_det, random_invertible, reference_conjugator_is_unique
+from util import (
+    frac_det,
+    random_invertible,
+    reference_adjoint_invariants,
+    reference_conjugator_is_unique,
+)
+
+DIFFER = "invariants differ: matrices are not in the same orbit"
 
 
 def rand_mat(rng, n, lo=-4, hi=4):
@@ -191,6 +198,50 @@ def test_conjugator_raises_exactly_when_irregular():
             g = adjoint_conjugator(T, Tp)
             assert mat_mul(g, T) == mat_mul(Tp, g)
     assert seen == {True, False}
+
+
+def test_conjugator_refuses_exactly_where_invariants_differ():
+    # pairs with equal invariants (block conjugates, whose denominators
+    # differ), equal charpoly but other moments (a conjugate by a general S),
+    # equal moments but another charpoly (T_00 moved, n = 2, 3, where no
+    # moment a_j, j < n, reads it), equal trace and moments but another
+    # determinant, and unrelated pairs, with denominators
+    rng = random.Random(119)
+    cases = []
+    for k in range(60):
+        n = 2 + k % 3
+        T = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)) if k % 2 else 1)
+              for _ in range(n)] for _ in range(n)]
+        _, Tb = block_conjugate(rng, T)
+        S = random_invertible(rng, n)
+        Ts = mat_mul(mat_mul(S, T), invert(S))
+        cases += [(T, Tb), (T, Ts), (Tb, Ts), (T, rand_mat(rng, n, -3, 3))]
+        if n < 4:
+            Tc = [row[:] for row in T]
+            Tc[0][0] += Fraction(1, rng.choice((1, 2)))
+            cases += [(T, Tc), (Tc, Tb)]
+        if n == 2:  # T_01 moved: trace and a_1 kept, the determinant not when T_10 != 0
+            Td = [row[:] for row in T]
+            Td[0][1] += 1
+            cases.append((Tb, Td))
+    kinds = set()
+    for T, Tp in cases:
+        (c, a), (cp, ap) = reference_adjoint_invariants(T), reference_adjoint_invariants(Tp)
+        try:
+            adjoint_conjugator(T, Tp)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert (got == DIFFER) == ((c, a) != (cp, ap)), (T, Tp)
+        kinds.add((c == cp, a == ap))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    # the comparison comes after the shape check and before the regularity one
+    with pytest.raises(DomainError, match="^expected nonempty square matrices of one size$"):
+        adjoint_conjugator([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    with pytest.raises(DomainError, match="^" + DIFFER + "$"):
+        adjoint_conjugator([[1, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(DomainError, match="^irregular: moment determinant vanishes$"):
+        adjoint_conjugator([[Fraction(1, 2), 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]])
 
 
 def test_conjugator_is_unique_matches_nullspace_reference():

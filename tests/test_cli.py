@@ -136,11 +136,11 @@ def test_quad_iso_output_pinned(capsys, gram, stdout):
 
 
 @pytest.mark.parametrize(("argv", "target", "stdout"), [
-    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 3", "quadspace.diagonalize",
+    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 3", "quadspace._eliminate",
      '{"isotropic": true, "witness": [1, -1, -1]}\n'),
-    ("quad iso --json [[1,0,0],[0,1,0],[0,0,1]] --bound 3", "quadspace.diagonalize",
+    ("quad iso --json [[1,0,0],[0,1,0],[0,0,1]] --bound 3", "quadspace._eliminate",
      '{"isotropic": false, "witness": null}\n'),
-    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 0", "quadspace.diagonalize",
+    ("quad iso --json [[1,1,0],[1,3,0],[0,0,-2]] --bound 0", "quadspace._eliminate",
      '{"isotropic": true}\n'),
     ("pencil search --f -1,0,-1 --bound 20", "pencil.real_orbit_obstruction",
      '{"found": false, "real_obstruction": true}\n'),

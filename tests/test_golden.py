@@ -14,7 +14,10 @@ def test_corpus_covers_every_pinned_command():
     seen = {tuple(r["argv"][:2]) for r in RECORDS}
     for cmd in ("iso", "equiv", "hilbert", "spin", "gram", "lift"):
         assert ("quad", cmd) in seen
-    assert ("adj", "conj") in seen
+    for cmd in ("conj", "inv", "canon"):
+        assert ("adj", cmd) in seen
+    for cmd in ("pfaffian", "sub", "pi", "stable"):
+        assert ("pf", cmd) in seen
     for cmd in ("invariant", "to-param", "from-param", "equiv", "stab", "real-obstruction",
                 "search"):
         assert ("pencil", cmd) in seen

@@ -9,13 +9,14 @@ from math import lcm
 
 import pytest
 
-from quadpencil import quadspace
+from quadpencil import intutil, quadspace
 from quadpencil.errors import DomainError
 from quadpencil.quadspace import (
     REAL_PLACE,
     BrauerClass2,
     QuadForm,
     _hasse,
+    _sqf_mul,
     certified_places,
     diagonalize,
     forms_equivalent,
@@ -31,7 +32,7 @@ from quadpencil.quadspace import (
 )
 
 from quadpencil.acceptance import _local_solvable
-from quadpencil.intutil import factorint, shell_prefixes
+from quadpencil.intutil import factorint, shell_prefixes, squarefree_part
 
 from util import (
     frac_det,
@@ -39,11 +40,18 @@ from util import (
     random_rational,
     reference_congruence,
     reference_diagonalize,
+    reference_forms_equivalent,
     reference_hasse,
     reference_hilbert_symbol,
     reference_inverse,
+    reference_is_isotropic,
     reference_isotropy_witness,
+    reference_spin_obstruction,
 )
+
+BIG_PRIME = 1_000_003
+# a 60-digit semiprime: 3 * 10^29 + 7 and 7 * 10^29 + 33 are prime
+SEMIPRIME = 300000000000000000000000000007 * 700000000000000000000000000033
 
 
 def diag(*entries):
@@ -347,6 +355,44 @@ def test_symbols_match_valuation_reference():
             assert hilbert_symbol(a, b, v) == reference_hilbert_symbol(a, b, v), (a, b, v)
 
 
+def test_hilbert_symbol_matches_squarefree_reference_on_prime_powers():
+    # numerators and denominators with high powers of the places and both
+    # signs: dividing out p^2 must agree with taking squarefree parts
+    rng = random.Random(301)
+
+    def draw():
+        num, den = rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30)
+        for p in (2, 3, 5, 7, 11, BIG_PRIME):
+            e = rng.choice((0, 0, 1, 2, 3, rng.randint(4, 13 if p < 12 else 5)))
+            if rng.random() < 0.5:
+                num *= p ** e
+            else:
+                den *= p ** e
+        return Fraction(num, den)
+
+    seen = set()
+    for _ in range(200):
+        a, b = draw(), draw()
+        for v in (REAL_PLACE, 2, 3, 5, 7, BIG_PRIME):
+            got = hilbert_symbol(a, b, v)
+            assert got == reference_hilbert_symbol(a, b, v), (a, b, v)
+            seen.add((v, got))
+    assert len(seen) == 12
+
+
+def test_hilbert_symbol_factors_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError("factorint(%d) called" % n)
+
+    monkeypatch.setattr(quadspace, "factorint", refuse)
+    monkeypatch.setattr(intutil, "factorint", refuse)
+    N = SEMIPRIME  # 7 mod 8 and 1 mod 5
+    assert [hilbert_symbol(N, 3, v) for v in (5, 2, REAL_PLACE)] == [1, -1, 1]
+    assert hilbert_symbol(Fraction(-N, 3), -N, REAL_PLACE) == -1
+    assert hilbert_symbol(Fraction(2 * N, 9), 3 ** 5, 3) == -1  # (2N | 3) = -1
+    assert hilbert_symbol(N * 25, Fraction(5, N), 5) == 1  # (N | 5) = 1
+
+
 def test_hilbert_symbol_rejections():
     with pytest.raises(DomainError):
         hilbert_symbol(0, 3, 5)
@@ -475,6 +521,60 @@ def test_forms_equivalent():
         q = rand_form(rng, rng.randint(2, 4))
         P = random_invertible(rng, q.dim)
         assert forms_equivalent(q, q.transformed(P))
+
+
+def test_sqf_mul_matches_squarefree_part_of_the_product():
+    rng = random.Random(302)
+    pool = [d for d in range(-70, 71) if d and squarefree_part(d) == d]
+    pool += [BIG_PRIME, -2 * BIG_PRIME, 3 * 7 * BIG_PRIME]
+    for a in (1, -1):
+        for b in pool:
+            assert _sqf_mul(a, b) == _sqf_mul(b, a) == squarefree_part(a * b)
+    for _ in range(600):
+        a, b = rng.choice(pool), rng.choice(pool)
+        assert _sqf_mul(a, b) == squarefree_part(a * b), (a, b)
+
+
+def test_queries_match_factoring_reference():
+    """diagonalize's P, the isotropy decision and witness, equivalence and the
+    spin class on random non-diagonal Gram matrices with denominators, n = 2..5,
+    against the routes that took squarefree parts of products by factoring."""
+    rng = random.Random(303)
+    seen = set()
+    witnesses = 0
+    for k in range(100):
+        n = 2 + k % 4
+        G = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                G[i][j] = G[j][i] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 9)))
+        q = QuadForm(G)
+        if not q.is_nondegenerate:
+            continue
+        assert diagonalize(q) == reference_diagonalize(q)
+        iso = is_isotropic(q)
+        assert iso == reference_is_isotropic(q)
+        bound = 3 if n < 4 else 2
+        w = isotropy_witness(QuadForm(G), bound)
+        assert w == reference_isotropy_witness(q, bound)
+        witnesses += w is not None
+        # congruent, negated, and the diagonal with two entries times a prime
+        # (same discriminant and signature, Hasse data may differ)
+        e = reference_diagonalize(q)[0]
+        p = rng.choice((3, 5, 7, 11))
+        for other in (q.transformed(random_invertible(rng, n)),
+                      QuadForm([[-x for x in row] for row in G]),
+                      diag(*([p * e[0], p * e[1]] + e[2:]))):
+            got = forms_equivalent(q, other)
+            assert got == reference_forms_equivalent(q, other)
+            seen.add(("equiv", got))
+        if n % 2:
+            places = spin_obstruction(q).places
+            assert places == reference_spin_obstruction(q)
+            seen.add(("spin", bool(places)))
+        seen.add(("iso", iso))
+    assert witnesses >= 20
+    assert seen == {(kind, b) for kind in ("equiv", "spin", "iso") for b in (True, False)}
 
 
 def test_gram_invariant_matches_direct_values():

@@ -41,6 +41,11 @@ The reference polynomial keeps the tuple of Fractions, with Euclidean
 division over Q, that the integer numerators over one denominator in
 `polys` replaced, and the reference invariant form keeps the Fraction
 matrices sA - B that the integer matrices replaced.
+The reference isotropy decision, equivalence and spin class keep the
+squarefree parts of products of diagonal entries, taken by factoring, that
+gcds of squarefree entries replaced, and the reference adjoint invariants
+keep the Fraction charpoly and moments whose comparison the conjugator now
+makes on integers, cross-multiplied.
 The reference diagonalization, Hilbert symbol, sub-Pfaffians, pi invariant,
 congruence g M g^T, characteristic polynomial and conjugator uniqueness keep
 the Fraction routes that the integer kernels replaced: rational elimination
@@ -57,7 +62,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from quadpencil.acceptance import (  # noqa: F401  (shared with selftest)
     random_integral_form,
@@ -69,7 +74,13 @@ from quadpencil.binforms import BinaryForm
 from quadpencil.errors import DomainError
 from quadpencil.etale import EtaleAlgebra, euler_trace_solve
 from quadpencil.factor import factor_poly
-from quadpencil.intutil import divisors, is_square_rational, rational_sqrt, squarefree_part
+from quadpencil.intutil import (
+    divisors,
+    factorint,
+    is_square_rational,
+    rational_sqrt,
+    squarefree_part,
+)
 from quadpencil.linalg import charpoly
 from quadpencil.orders import OrientedIdeal, ideal_mul, unit_ideal
 from quadpencil.pencil import OrbitParam, StabilizerGroup
@@ -769,9 +780,13 @@ def reference_diagonalize(q):
     return entries, P
 
 
+# the reference symbols factor the same entries at every place
+_reference_sqf = functools.lru_cache(maxsize=None)(squarefree_part)
+
+
 def reference_hilbert_symbol(a, b, place):
     """(a, b)_place from the valuations of the squarefree parts of a and b."""
-    A, B = squarefree_part(Fraction(a)), squarefree_part(Fraction(b))
+    A, B = _reference_sqf(Fraction(a)), _reference_sqf(Fraction(b))
     if place == 0:
         return -1 if (A < 0 and B < 0) else 1
     p = place
@@ -806,6 +821,102 @@ def reference_hasse(entries, place):
         for j in range(i + 1, len(entries)):
             s *= reference_hilbert_symbol(entries[i], entries[j], place)
     return s
+
+
+def _reference_places(entries):
+    places = {0, 2}
+    for d in entries:
+        places.update(factorint(abs(d)))
+    return places
+
+
+def _reference_local_square(d, place):
+    """Is the squarefree integer d a square at the place?"""
+    if place == 0:
+        return d > 0
+    if place == 2:
+        return d % 8 == 1
+    return d % place != 0 and pow(d % place, (place - 1) // 2, place) == 1
+
+
+def _reference_signature(entries):
+    pos = sum(1 for d in entries if d > 0)
+    return pos, len(entries) - pos
+
+
+def reference_is_isotropic(q):
+    """The certified isotropy decision on the diagonal of
+    `reference_diagonalize`, each discriminant the squarefree part of a
+    product of entries, found by factoring."""
+    entries = reference_diagonalize(q)[0]
+    n = len(entries)
+    if n <= 1:
+        return False
+    if n == 2:
+        return is_square_rational(Fraction(-entries[0] * entries[1]))
+    d = prod(entries)
+    places = _reference_places(entries)
+    if n == 3:
+        m = squarefree_part(-d)
+        return all(reference_hilbert_symbol(-1, m, v) == reference_hasse(entries, v)
+                   for v in places)
+    if n == 4:
+        m = squarefree_part(d)
+        return all(not _reference_local_square(m, v)
+                   or reference_hasse(entries, v) == reference_hilbert_symbol(-1, -1, v)
+                   for v in places)
+    pos, neg = _reference_signature(entries)
+    return pos > 0 and neg > 0
+
+
+def reference_forms_equivalent(q1, q2):
+    """Dimension, discriminant (squarefree part of the product, by
+    factoring), signature and Hasse invariants at every place of either."""
+    e1, e2 = reference_diagonalize(q1)[0], reference_diagonalize(q2)[0]
+    if len(e1) != len(e2) or squarefree_part(prod(e1)) != squarefree_part(prod(e2)):
+        return False
+    if _reference_signature(e1) != _reference_signature(e2):
+        return False
+    places = _reference_places(e1) | _reference_places(e2)
+    return all(reference_hasse(e1, v) == reference_hasse(e2, v) for v in places)
+
+
+def reference_quaternion_places(u, v):
+    """Ramified places of (u, v): the symbol -1 among 0, 2 and the primes of
+    the squarefree parts of u and v."""
+    U, V = squarefree_part(Fraction(u)), squarefree_part(Fraction(v))
+    return frozenset(w for w in _reference_places([U, V])
+                     if reference_hilbert_symbol(U, V, w) == -1)
+
+
+def reference_spin_obstruction(q):
+    """The even Clifford class of an odd form as a frozenset of places: the
+    entries -a_m a_i, each split-off pair's quaternion class, and the
+    squarefree part of every new entry taken by factoring."""
+    entries = reference_diagonalize(q)[0]
+    if len(entries) == 1:
+        return frozenset()
+    if len(entries) == 3:
+        a, b, c = entries
+        return reference_quaternion_places(-a * b, -a * c)
+    e = [-entries[-1] * x for x in entries[:-1]]
+    acc = frozenset()
+    while len(e) > 2:
+        a, b = e[-2], e[-1]
+        acc ^= reference_quaternion_places(a, b)
+        e = [squarefree_part(Fraction(-a * b * x)) for x in e[:-2]]
+    return acc ^ reference_quaternion_places(e[0], e[1])
+
+
+def reference_adjoint_invariants(T):
+    """(charpoly, moments (T^j)_(n,n) for 0 < j < n) on Fraction matrices."""
+    n = len(T)
+    v = [Fraction(int(i == n - 1)) for i in range(n)]
+    moments = []
+    for _ in range(n - 1):
+        v = reference_mat_vec(T, v)
+        moments.append(v[-1])
+    return reference_charpoly(T), moments
 
 
 def _frac_mul(A, B):
