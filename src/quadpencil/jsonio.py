@@ -169,9 +169,12 @@ def json_to_ideal(order: Order, obj) -> OrientedIdeal:
         raise PayloadError("mat must be an integer matrix")
     if len(rows) != order.n or any(len(r) != order.n for r in rows):
         raise PayloadError("mat must be %d x %d" % (order.n, order.n))
-    if det(rows) == 0:
+    d = det(rows)
+    if d == 0:
         raise DomainError("ideal basis is not full rank")
-    return OrientedIdeal(order, den, [list(r) for r in rows], eps)
+    ideal = OrientedIdeal(order, den, [list(r) for r in rows], eps)
+    ideal._norm = eps * Fraction(d, den ** order.n)  # unchanged by the gcd reduction
+    return ideal
 
 
 def place_to_json(v):

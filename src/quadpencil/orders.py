@@ -17,11 +17,13 @@ coordinates, an orientation sign, and a module bit that only `unit_ideal`,
 `power_ideal`, `ideal_mul` (R I J = I (R J)) and `scalar_ideal` set, each when
 it knows R_f I = I. Products of ideals and scalars multiply those integer rows
 through the table, one dot product per coordinate over the table columns
-precomputed with the order, then take the HNF. Each ideal keeps the powers
-`ideal_pow` has computed, so R_f I^k costs one product per new k. Membership
-is integer forward substitution on the HNF of the basis, which is upper
-triangular with a positive diagonal, and the norm of an ideal in HNF is the
-product of that diagonal.
+precomputed with the order, then take the HNF. When R_f I = I is known and 1
+lies in J, I J = I + sum b I over the rows b of J outside R_f (I = I 1 lies in
+I J, and R_f I = I absorbs the rest), so I_f(1)^k takes 2n generators, not
+n^2. Each ideal keeps its norm once computed and the powers `ideal_pow` has
+computed, so R_f I^k costs one product per new k. Membership is integer
+forward substitution on mat when it is upper triangular (every HNF), else on
+its HNF, and the norm of an ideal in HNF is the product of that diagonal.
 The module pair of (I, alpha) reads off the same table products: the
 zeta_(n-2) and zeta_(n-1) coordinates of b_i b_j / alpha are its coordinates
 on the last two vectors of the natural basis of I_f(n-3), whose other vectors
@@ -130,10 +132,12 @@ def order_disc(order: Order) -> Fraction:
 class OrientedIdeal:
     """Full-rank R_f-lattice with orientation: the rows of the tuple mat over den,
     in the zeta basis. The bit `module` (R_f I = I is known) is False unless a
-    constructor below that proves it sets it; `_pows` holds the powers that
-    `ideal_pow` has computed."""
+    constructor below that proves it sets it. The bit must carry that proof:
+    `ideal_pow` and `ideal_mul` trust it (a forged bit gives wrong powers and
+    products), while `module_stable` decides from the lattice. `_pows` holds
+    the powers that `ideal_pow` has computed, `_norm` the norm once known."""
 
-    __slots__ = ("order", "den", "mat", "eps", "module", "_pows")
+    __slots__ = ("order", "den", "mat", "eps", "module", "_pows", "_norm")
 
     def __init__(self, order, den, mat, eps):
         if eps not in (1, -1) or den <= 0:
@@ -145,14 +149,17 @@ class OrientedIdeal:
         self.eps = eps
         self.module = False
         self._pows = None
+        self._norm = None
 
     def norm(self) -> Fraction:
-        """eps det(mat) / den^n; the determinant is the product of the diagonal
-        when mat is upper triangular (every HNF), else a Bareiss elimination."""
-        M, n = self.mat, self.order.n
-        upper = not any(M[i][j] for i in range(1, n) for j in range(i))
-        d = prod(M[i][i] for i in range(n)) if upper else det(M)
-        return self.eps * Fraction(d, self.den ** n)
+        """eps det(mat) / den^n, computed once; the determinant is the product of
+        the diagonal when mat is upper triangular (every HNF), else a Bareiss
+        elimination."""
+        if self._norm is None:
+            M, n = self.mat, self.order.n
+            d = prod(M[i][i] for i in range(n)) if _upper(M) else det(M)
+            self._norm = self.eps * Fraction(d, self.den ** n)
+        return self._norm
 
     def contains(self, elem) -> bool:
         """Is elem in the lattice?"""
@@ -160,10 +167,12 @@ class OrientedIdeal:
 
     def _holds(self, d, *vs) -> bool:
         """Are all the zeta coordinate rows v / d in the lattice: is y H = den v / d
-        integral for H = hnf(mat)? H is upper triangular with a positive diagonal,
-        so y comes by forward substitution; the first inexact division says no."""
-        H = hnf(self.mat)
-        if len(H) != self.order.n:
+        integral for a basis H of it? H is mat when mat is upper triangular with a
+        nonzero diagonal, as every HNF is, else hnf(mat); either way y comes by
+        forward substitution, and the first inexact division says no."""
+        M, n = self.mat, self.order.n
+        H = M if len(M) == n and _upper(M) and all(M[i][i] for i in range(n)) else hnf(M)
+        if len(H) != n:
             raise DomainError("ideal basis is not full rank")
         for v in vs:
             y = []
@@ -186,6 +195,11 @@ class OrientedIdeal:
 
     def __repr__(self):
         return "OrientedIdeal(den=%d, mat=%r, eps=%d)" % (self.den, self.mat, self.eps)
+
+
+def _upper(M):
+    """Is the square matrix M upper triangular?"""
+    return not any(M[i][j] for i in range(1, len(M)) for j in range(i))
 
 
 def _products(order, A, B):
@@ -232,10 +246,22 @@ def power_ideal(order: Order, k: int) -> OrientedIdeal:
 
 
 def ideal_mul(I: OrientedIdeal, J: OrientedIdeal) -> OrientedIdeal:
+    """I J over I.den J.den. If R_f I = I is known and 1 lies in J, I J is I plus
+    b I for the rows b of J outside R_f (an entry not divisible by J.den): I =
+    I 1 lies in I J, and a b with b in R_f lies in R_f I = I. A lattice has one
+    HNF whatever spans it, so this equals the HNF of the n^2 products. den, eps
+    and the module bit are symmetric, so a module J is swapped to the front."""
     if I.order != J.order:
         raise DomainError("ideals of different orders")
-    rows = _products(I.order, I.mat, J.mat)
-    return _ideal_from_rows(I.order, I.den * J.den, rows, I.eps * J.eps, I.module or J.module)
+    if J.module and not I.module:
+        I, J = J, I
+    order, n = I.order, I.order.n
+    if I.module and J._holds(1, [1] + [0] * (n - 1)):
+        out = [b for b in J.mat if any(x % J.den for x in b)]
+        rows = [[x * J.den for x in a] for a in I.mat] + _products(order, out, I.mat)
+    else:
+        rows = _products(order, I.mat, J.mat)
+    return _ideal_from_rows(order, I.den * J.den, rows, I.eps * J.eps, I.module or J.module)
 
 
 def ideal_pow(I: OrientedIdeal, k: int) -> OrientedIdeal:
@@ -265,8 +291,11 @@ def scalar_ideal(c, I: OrientedIdeal) -> OrientedIdeal:
 
 
 def module_stable(I: OrientedIdeal) -> bool:
-    """R_f * I = I as a lattice?"""
-    return ideal_mul(unit_ideal(I.order), I).mat == tuple(map(tuple, hnf(I.mat)))
+    """R_f * I = I as a lattice? R_f I contains I = 1 I, so this asks whether
+    every zeta_j b (j >= 1, b a row of I) lies in I; the module bit is not read."""
+    n = I.order.n
+    zetas = [[int(i == j) for j in range(n)] for i in range(1, n)]
+    return I._holds(I.den, *_products(I.order, zetas, I.mat))
 
 
 def _module_pair(order: Order, I: OrientedIdeal, alpha):

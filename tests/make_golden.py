@@ -12,7 +12,8 @@ the program's output change; regenerate it on request, never inside a test:
 the committed file. The cases cover `quad iso/equiv/hilbert/spin/gram/lift`,
 `adj conj`, `pencil invariant/to-param/from-param/equiv/stab/
 real-obstruction/search`, `integral order/disc/different/ideal/canonical/
-wood`, `adj inv/canon` and `pf pfaffian/sub/pi/stable`; each group draws
+wood`, `adj inv/canon`, `pf pfaffian/sub/pi/stable`, `hyper` and `pencil
+h-equiv` on small supports; each group draws
 from the one generator after the groups before it, so a new group is
 appended at the end. Search bounds stay small, so the whole
 replay takes a few seconds.
@@ -490,6 +491,79 @@ def _pf_cases(rng):
     yield ["pf", "sub"], json.dumps({"A": A, "B": B})
 
 
+def _curve_form(rng, n, u, v):
+    """--f for a random stable f of degree n with f(u, 1) = v^2: f_n is solved for."""
+    while True:
+        cs = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))]
+        cs += [Fraction(rng.randint(-4, 4)) for _ in range(n - 1)]
+        cs.append(v * v - sum(c * u ** (n - i) for i, c in enumerate(cs)))
+        g = [c / cs[0] for c in reversed(cs)]
+        if _res(g, [i * c for i, c in enumerate(g)][1:]):
+            return ",".join(str(_r(c)) for c in cs)
+
+
+def _hyper_cases(rng):
+    # a point on z^2 = f(x, 1) at n = 2..6, then the same f at a point off the
+    # curve; then v = 0, an unstable f, f0 = 0 and malformed flags
+    for k in range(8):
+        n = 2 + k % 5
+        u = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+        v = Fraction(rng.randint(1, 5), rng.choice((1, 1, 3))) * rng.choice((1, -1))
+        f = _curve_form(rng, n, u, v)
+        yield ["hyper", "--f", f, "--point", "%s,%s" % (_r(u), _r(v))], ""
+        if k % 3 == 0:
+            yield ["hyper", "--f", f, "--point", "%s,%s" % (_r(u), _r(v + 1))], ""
+    for f, point in (("1,0,-1", "1,0"), ("1,2,1", "0,1"), ("0,1,1", "0,1"), ("1,0,0,1", "0,1"),
+                     ("1,0,1", "1"), ("1,0,1", "0,x"), ("1,0,1", "1/0,1"), ("1,x", "0,1")):
+        yield ["hyper", "--f", f, "--point", point], ""
+    yield ["hyper", "--f", "1,0,1"], ""
+
+
+# small supports for h-equiv: g with few primes in disc g, alpha of norm +-1 or +-2
+HEQUIV_G = ([-2, 0, 1], [1, 0, 1], [-1, -1, 1], [1, 1, 1], [-1, -1, 0, 0, 1], [1, 0, 0, 0, 1])
+
+
+def _hequiv_cases(rng):
+    # p2 = (c^2 d alpha, N(c) d^(n/2) t) for d in the support (equivalent), for
+    # d = 3 outside it with and without --primes 3, and for another alpha; then
+    # odd n, different algebras, bad --primes and malformed payloads
+    for k, g in enumerate(HEQUIV_G):
+        n = len(g) - 1
+        alpha = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        if k % 2:
+            alpha[1] = Fraction(1)
+        N = _res(g, alpha)
+        t = Fraction(rng.choice((1, 2))) * rng.choice((1, -1))
+        p1 = _param(g, alpha, t)
+        for d, primes in ((rng.choice((1, -1, 2, -2)), ""), (3, ""), (3, "3")):
+            c = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
+            Nc = _res(g, c)
+            if not Nc:
+                c, Nc = [Fraction(1)] + [Fraction(0)] * (n - 1), Fraction(1)
+            a2 = [d * x for x in _mulmod(_mulmod(c, c, g), alpha, g)]
+            p2 = _param(g, a2, t * Nc * Fraction(d) ** (n // 2))
+            argv = ["pencil", "h-equiv"] + (["--primes", primes] if primes else [])
+            yield argv, json.dumps({"p1": p1, "p2": p2})
+        if N:
+            other = [Fraction(x) for x in alpha]
+            other[-1] += 1
+            if _res(g, other):
+                p2 = _param(g, other, t * _res(g, other) / N)
+                yield ["pencil", "h-equiv"], json.dumps({"p1": p1, "p2": p2})
+    cube = {"g": [1, 0, 0, -2], "alpha": [1, 0, 0], "t": 1}
+    square = {"g": [1, 0, -2], "alpha": [1, 0], "t": 1}
+    for argv, payload in (
+            ([], {"p1": cube, "p2": cube}),
+            ([], {"p1": square, "p2": {"g": [1, 0, 1], "alpha": [1, 0], "t": 1}}),
+            (["--primes", "4"], {"p1": square, "p2": square}),
+            (["--primes", "x"], {"p1": square, "p2": square}),
+            (["--primes", "5,7"], {"p1": square, "p2": square}),
+            ([], {"p1": square}),
+            ([], {"p1": square, "p2": dict(square, alpha=[0, 0])}),
+            ([], {"p1": square, "p2": dict(square, t=0)})):
+        yield ["pencil", "h-equiv"] + argv, json.dumps(payload)
+
+
 def cases():
     rng = random.Random(SEED)
     for group in (_iso_cases, _equiv_cases, _hilbert_cases, _spin_cases, _gram_cases,
@@ -500,6 +574,8 @@ def cases():
     yield from _integral_cases(rng)
     yield from _adj_cases(rng)
     yield from _pf_cases(rng)
+    yield from _hyper_cases(rng)
+    yield from _hequiv_cases(rng)
 
 
 def main(argv=None):

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import quadpencil
+from quadpencil import linalg
 from quadpencil.cli import main
 from quadpencil.intutil import next_prime
 
@@ -93,6 +94,26 @@ def test_integral_ideal(capsys):
         "eps": 1,
         "norm": "1/2",
     }
+
+
+def test_integral_wood_eliminates_the_rows_once(capsys, monkeypatch):
+    # json_to_ideal's full-rank check hands its determinant on as the norm, so
+    # a basis that is not triangular (the rows of I_f(1) rotated) goes through
+    # one elimination in linalg, where the norm used to take two more
+    ideal = run_json(capsys, "integral", "ideal", "--f", "2,3,5,7,1,1", "--k", "1")
+    del ideal["norm"]
+    ideal["mat"] = ideal["mat"][1:] + ideal["mat"][:1]
+    payload = json.dumps({"ideal": ideal, "alpha": [1, 0, 0, 0, 0]})
+    bareiss, calls = linalg._bareiss, []
+
+    def counted(M, ncols, jordan):
+        calls.append(len(M))
+        return bareiss(M, ncols, jordan)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    out = run_json(capsys, "integral", "wood", "--f", "2,3,5,7,1,1", "--json", payload)
+    assert out["gamma"] == ["2", "0", "0", "0", "0"] and out["t"] == "8"
+    assert calls == [5]
 
 
 def test_integral_different(capsys):

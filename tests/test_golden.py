@@ -18,11 +18,12 @@ def test_corpus_covers_every_pinned_command():
         assert ("adj", cmd) in seen
     for cmd in ("pfaffian", "sub", "pi", "stable"):
         assert ("pf", cmd) in seen
-    for cmd in ("invariant", "to-param", "from-param", "equiv", "stab", "real-obstruction",
-                "search"):
+    for cmd in ("invariant", "to-param", "from-param", "equiv", "h-equiv", "stab",
+                "real-obstruction", "search"):
         assert ("pencil", cmd) in seen
     for cmd in ("order", "disc", "different", "ideal", "canonical", "wood"):
         assert ("integral", cmd) in seen
+    assert any(r["argv"][0] == "hyper" for r in RECORDS)
     assert {r["exit"] for r in RECORDS} == {0, 1, 2}
 
 

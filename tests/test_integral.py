@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadpencil import BinaryForm, OrbitParam, g_equivalent, invariant_binary_form, pencil_to_param
+from quadpencil import orders
 from quadpencil.errors import DomainError
 from quadpencil.jsonio import ideal_to_json, json_to_ideal
 from quadpencil.linalg import is_symmetric, mat_mul, transpose
@@ -284,6 +285,139 @@ def test_ideal_mul_matches_element_products():
         for _ in range(6):
             I, J = rng.choice(ideals), rng.choice(ideals)
             assert _key(ideal_mul(I, J)) == _key(reference_ideal_mul(I, J))
+
+
+def _spy_products(monkeypatch):
+    """Record the first argument of every orders._products call."""
+    seen, products = [], orders._products
+
+    def spy(order, A, B):
+        seen.append([list(a) for a in A])
+        return products(order, A, B)
+
+    monkeypatch.setattr(orders, "_products", spy)
+    return seen
+
+
+def _outside(I):
+    """The rows of I.mat whose element lies outside R_f."""
+    return [list(b) for b in I.mat if any(x % I.den for x in b)]
+
+
+def _mul_cases(rng, O):
+    """(I, J, route) at one order: route "fast" when the product must come from
+    the module generators (a module I with 1 in J, or a module J with 1 in I,
+    swapped), "generic" when it must take the n^2 products."""
+    n = O.n
+    one = O.algebra.one
+    unit = unit_ideal(O)
+    powers = [power_ideal(O, k) for k in range(n)]
+    I = powers[rng.randrange(n)]
+    U = unimodular(rng, n) if n > 1 else [[1]]
+    rebased = OrientedIdeal(O, I.den, [[int(x) for x in row] for row in mat_mul(U, I.mat)], -1)
+    twists = []
+    for _ in range(8):
+        c = O.algebra.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for _ in range(n)])
+        if c.norm() != 0:
+            twists.append(scalar_ideal(2 * c, rng.choice(powers + [rebased])))
+    out = []
+    for P in powers + [rebased]:
+        Q = rng.choice(powers)
+        out += [(Q, P, "fast"), (unit, P, "fast"), (P, unit, "fast")]
+        if not P.module:
+            out += [(P, Q, "fast"), (P, rebased, "generic")]
+    for T in twists:  # scalar twists without 1, a module exactly when twisting one
+        if not reference_contains(T, one):
+            out += [(rng.choice(powers), T, "generic"), (T, rebased, "fast" if T.module else
+                                                          "generic")]
+    return out
+
+
+def test_ideal_mul_from_module_generators_matches_element_products(monkeypatch):
+    # (den, mat, eps, module) of every product equals the n^2-product reference
+    # at n = 1..6 with eps = +-1, and the route is the one the structure allows:
+    # one product per row of J outside R_f when I is a known module and 1 lies
+    # in J (J a module and 1 in I is swapped), else one per row of I
+    rng = random.Random(86)
+    seen = _spy_products(monkeypatch)
+    routes = set()
+    for f in _diff_forms() + [BinaryForm([2, 3]), BinaryForm([-5, 1])]:
+        O = form_order(f)
+        for I, J, route in _mul_cases(rng, O):
+            seen.clear()
+            P = ideal_mul(I, J)
+            want = reference_ideal_mul(I, J)
+            assert (P.den, P.mat, P.eps, P.module) == (want.den, want.mat, want.eps,
+                                                       I.module or J.module)
+            if route == "fast":
+                assert seen == [_outside(J if I.module else I)], (I, J)
+            else:
+                assert seen == [[list(a) for a in I.mat]], (I, J)
+            routes.add((route, O.n, P.eps))
+    assert {(r, n) for r, n, _ in routes} >= {(r, n) for r in ("fast", "generic")
+                                              for n in range(2, 7)}
+    assert ("fast", 1) in {(r, n) for r, n, _ in routes}
+    assert {eps for *_, eps in routes} == {1, -1}
+
+
+def test_ideal_pow_multiplies_by_the_rows_outside_the_order(monkeypatch):
+    # each new power of I_f(1) at n = 6 passes only the rows of I_f(1) outside
+    # R_f (one when |f0| > 1, none when |f0| = 1) to the table products
+    rng = random.Random(87)
+    seen = _spy_products(monkeypatch)
+    for f in [random_integral_form(rng, 6) for _ in range(4)] + [
+            BinaryForm([-3, 1, 0, -3, 2, 6, 1]), BinaryForm([1, 0, 2, 0, 0, 1, 3])]:
+        O = form_order(f)
+        I1 = power_ideal(O, 1)
+        r = len(_outside(I1))
+        assert r == (abs(f.f0) > 1)
+        for k in range(O.n):
+            seen.clear()
+            assert _key(ideal_pow(I1, k)) == _key(power_ideal(O, k))
+            assert len(seen) == (k >= 2) and all(len(A) <= r for A in seen)
+
+
+def test_membership_reads_a_triangular_basis_without_hnf(monkeypatch):
+    # ideals built through _ideal_from_rows (power ideals, products, powers,
+    # scalar twists) have an HNF mat, so _holds, contains and module_stable
+    # never take an HNF of it
+    rng = random.Random(88)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        I1 = power_ideal(O, 1)
+        c = O.algebra.zero
+        while c.norm() == 0:
+            c = O.algebra.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for _ in range(n)])
+        built = [power_ideal(O, k) for k in range(n)] + [ideal_pow(I1, n - 1),
+                                                          scalar_ideal(c, I1)]
+        built.append(ideal_mul(built[-1], _ideals(rng, O)[n]))
+
+        def no_hnf(rows):
+            raise AssertionError("hnf called on a triangular basis")
+
+        monkeypatch.setattr(orders, "hnf", no_hnf)
+        for I in built:
+            assert I.contains(O.algebra.one) == reference_contains(I, O.algebra.one)
+            assert module_stable(I)
+        monkeypatch.undo()
+
+
+def test_json_ideal_norm_is_its_determinant_over_den():
+    # json_to_ideal keeps eps det / den^n as the norm; the gcd reduction of
+    # den and mat leaves it unchanged
+    rng = random.Random(89)
+    for f in _diff_forms():
+        O = form_order(f)
+        n = O.n
+        for I in _ideals(rng, O):
+            g = rng.choice((1, 2, 6))
+            rows = [[g * x for x in row] for row in I.mat[1:] + I.mat[:1]]
+            J = json_to_ideal(O, {"den": g * I.den, "mat": rows, "eps": -I.eps})
+            fresh = OrientedIdeal(O, J.den, J.mat, J.eps)
+            assert J.norm() == fresh.norm() == -I.eps * frac_det(rows) / Fraction(g * I.den) ** n
 
 
 def test_ideal_pow_is_power_ideal():
