@@ -4,6 +4,11 @@ Structured inputs (matrices, parameter payloads) are JSON, read from stdin or
 passed inline with --json; small inputs ride on flags. Results are printed as
 a single JSON object. Exit codes: 0 success, 1 malformed input, 2 violated
 precondition.
+
+Every command is one row of COMMANDS. A call builds only the parsers its argv
+can reach: the one command it names, or every command of the group it names
+when the command is unknown, or everything; help and error text are the same
+as from the full parser.
 """
 
 import argparse
@@ -331,7 +336,62 @@ class _Parser(argparse.ArgumentParser):
         raise PayloadError("%s: %s" % (self.prog, message))
 
 
-def build_parser():
+_F = ("--f", {"required": True, "help": "form coefficients f0..fn, comma separated"})
+_JSON = ("--json", {"help": "inline JSON payload (default: stdin)"})
+_SEED = ("--seed", {"type": int, "default": 0})
+
+
+# (group, command, flags in the order they are added); hyper and selftest are
+# groups without commands, so their command is None. The handler is the
+# function cmd_<group>_<command> ('-' as '_'), looked up when the parser is
+# built, so a wrapper rebound to that name is the one that runs.
+COMMANDS = (
+    ("pencil", "invariant", (_JSON,)),
+    ("pencil", "to-param", (_SEED, _JSON)),
+    ("pencil", "from-param", (_F, _JSON)),
+    ("pencil", "equiv", (_JSON,)),
+    ("pencil", "h-equiv",
+     (_JSON, ("--primes", {"default": "", "help": "extra primes, comma separated"}))),
+    ("pencil", "stab", (_JSON,)),
+    ("pencil", "real-obstruction", (_F,)),
+    ("pencil", "search", (_F, ("--bound", {"default": 20}))),
+    ("integral", "order", (_F,)),
+    ("integral", "disc", (_F,)),
+    ("integral", "ideal", (_F, ("--k", {"type": int, "required": True}))),
+    ("integral", "wood", (_F, _JSON)),
+    ("integral", "canonical", (_F,)),
+    ("integral", "different", (_F,)),
+    ("hyper", None, (_F, ("--point", {"required": True, "help": "u,v"}))),
+    ("quad", "iso", (("--bound", {"default": 0}), _JSON)),
+    ("quad", "equiv", (_JSON,)),
+    ("quad", "hilbert",
+     tuple((flag, {"required": True}) for flag in ("--a", "--b", "--place"))),
+    ("quad", "spin", (_JSON,)),
+    ("quad", "gram", (_JSON,)),
+    ("quad", "lift", (_JSON,)),
+    ("pf", "pfaffian", (_JSON,)),
+    ("pf", "sub", (_JSON,)),
+    ("pf", "pi", (_JSON,)),
+    ("pf", "stable", (_JSON,)),
+    ("adj", "inv", (_JSON,)),
+    ("adj", "canon", (_JSON,)),
+    ("adj", "conj", (_JSON,)),
+    ("selftest", None, (_SEED,)),
+)
+
+
+def _reachable(argv):
+    """The rows of COMMANDS that a parse of argv can reach: the one command
+    argv[:2] names exactly, else every command of the group argv[0] names,
+    else all of them. A usage error never prints a usage line (see _Parser),
+    so a parser left out only shows in help and 'invalid choice' lists, and
+    those come from a full group or the full parser."""
+    group = [row for row in COMMANDS if argv[:1] == [row[0]]]
+    return [row for row in group if argv[1:2] == [row[1]]] or group or COMMANDS
+
+
+def build_parser(argv=()):
+    """The parser of every command that argv can reach; all of them by default."""
     ap = _Parser(
         prog="quadpencil",
         description=(
@@ -342,72 +402,18 @@ def build_parser():
         ),
     )
     sub = ap.add_subparsers(dest="group", required=True)
-
-    def add(parent, name, fn, *, f=False, bound=None, seed=False, json_in=False,
-            extra=()):
-        p = parent.add_parser(name)
-        if f:
-            p.add_argument("--f", required=True,
-                           help="form coefficients f0..fn, comma separated")
-        if bound is not None:
-            p.add_argument("--bound", default=bound)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if json_in:
-            p.add_argument("--json", help="inline JSON payload (default: stdin)")
-        for arg, kw in extra:
-            p.add_argument(arg, **kw)
-        p.set_defaults(func=fn)
-        return p
-
-    pencil = sub.add_parser("pencil").add_subparsers(dest="cmd", required=True)
-    add(pencil, "invariant", cmd_pencil_invariant, json_in=True)
-    add(pencil, "to-param", cmd_pencil_to_param, json_in=True, seed=True)
-    add(pencil, "from-param", cmd_pencil_from_param, f=True, json_in=True)
-    add(pencil, "equiv", cmd_pencil_equiv, json_in=True)
-    add(pencil, "h-equiv", cmd_pencil_h_equiv, json_in=True,
-        extra=(("--primes", {"default": "", "help": "extra primes, comma separated"}),))
-    add(pencil, "stab", cmd_pencil_stab, json_in=True)
-    add(pencil, "real-obstruction", cmd_pencil_real_obstruction, f=True)
-    add(pencil, "search", cmd_pencil_search, f=True, bound=20)
-
-    integral = sub.add_parser("integral").add_subparsers(dest="cmd", required=True)
-    add(integral, "order", cmd_integral_order, f=True)
-    add(integral, "disc", cmd_integral_disc, f=True)
-    add(integral, "ideal", cmd_integral_ideal, f=True,
-        extra=(("--k", {"type": int, "required": True}),))
-    add(integral, "wood", cmd_integral_wood, f=True, json_in=True)
-    add(integral, "canonical", cmd_integral_canonical, f=True)
-    add(integral, "different", cmd_integral_different, f=True)
-
-    add(sub, "hyper", cmd_hyper, f=True,
-        extra=(("--point", {"required": True, "help": "u,v"}),))
-
-    quad = sub.add_parser("quad").add_subparsers(dest="cmd", required=True)
-    add(quad, "iso", cmd_quad_iso, json_in=True, bound=0)
-    add(quad, "equiv", cmd_quad_equiv, json_in=True)
-    add(quad, "hilbert", cmd_quad_hilbert,
-        extra=(("--a", {"required": True}), ("--b", {"required": True}),
-               ("--place", {"required": True})))
-    add(quad, "spin", cmd_quad_spin, json_in=True)
-    add(quad, "gram", cmd_quad_gram, json_in=True)
-    add(quad, "lift", cmd_quad_lift, json_in=True)
-
-    pf = sub.add_parser("pf").add_subparsers(dest="cmd", required=True)
-    add(pf, "pfaffian", cmd_pf_pfaffian, json_in=True)
-    add(pf, "sub", cmd_pf_sub, json_in=True)
-    add(pf, "pi", cmd_pf_pi, json_in=True)
-    add(pf, "stable", cmd_pf_stable, json_in=True)
-
-    adj = sub.add_parser("adj").add_subparsers(dest="cmd", required=True)
-    add(adj, "inv", cmd_adj_inv, json_in=True)
-    add(adj, "canon", cmd_adj_canon, json_in=True)
-    add(adj, "conj", cmd_adj_conj, json_in=True)
-
-    st = sub.add_parser("selftest")
-    st.add_argument("--seed", type=int, default=0)
-    st.set_defaults(func=cmd_selftest)
-
+    groups = {}
+    for group, cmd, flags in _reachable(list(argv)):
+        if cmd is None:
+            p = sub.add_parser(group)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(dest="cmd", required=True)
+            p = groups[group].add_parser(cmd)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        name = "cmd_" + group if cmd is None else "cmd_%s_%s" % (group, cmd)
+        p.set_defaults(func=globals()[name.replace("-", "_")])
     return ap
 
 
@@ -429,11 +435,10 @@ def _merge_value_flags(argv):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _merge_value_flags(list(sys.argv[1:] if argv is None else argv))
+    ap = build_parser(argv)
     try:
-        args = ap.parse_args(_merge_value_flags(list(argv)))
+        args = ap.parse_args(argv)
         rc = args.func(args)
         return 0 if rc is None else rc
     except (json.JSONDecodeError, PayloadError) as exc:

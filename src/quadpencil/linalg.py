@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals, plus integer Hermite normal form.
 
 Matrices are rows of anything `Fraction()` accepts. `_clear` is the one
-conversion: it makes integer rows over one denominator once per input (no
-kernel calls the public `mat`), kernels run on integers, and `_fractions`
-builds what they return. `det`, `solve`, `inverse` and `nullspace` share the
-fraction-free `_bareiss`; `congruence` is `_congruence`, which `SymPair` and
-`QuadForm` apply to their own rows. Mismatched shapes raise DomainError.
+conversion: it makes integer rows over one denominator once per input,
+kernels run on integers, and `_fractions` builds what they return. `det`,
+`solve`, `inverse` and `nullspace` share the fraction-free `_bareiss`;
+`congruence` is `_congruence`, which `SymPair` and `QuadForm` apply to their
+own rows. Mismatched shapes raise DomainError.
 `hnf` is incremental, by Euclid's algorithm on row pairs.
 """
 
@@ -17,16 +17,8 @@ from .errors import DomainError
 from .polys import Poly, _make
 
 
-def mat(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def _clear(A):

@@ -225,10 +225,6 @@ class Poly:
 X = Poly((0, 1))
 
 
-def poly_from_ints(cs):
-    return Poly(cs)
-
-
 def _prem(A, B):
     """Pseudo-remainder of integer coefficient lists, low first.
 

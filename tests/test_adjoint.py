@@ -15,10 +15,11 @@ from quadpencil.adjoint import (
     regularity_D,
 )
 from quadpencil.errors import DomainError
-from quadpencil.linalg import charpoly, mat, mat_mul
+from quadpencil.linalg import charpoly, mat_mul
 
 from util import (
     frac_det,
+    mat,
     random_invertible,
     reference_adjoint_invariants,
     reference_conjugator_is_unique,

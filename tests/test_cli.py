@@ -1,5 +1,6 @@
 """End-to-end command-line checks: pinned payloads and exit codes."""
 
+import argparse
 import importlib
 import io
 import json
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import quadpencil
-from quadpencil import linalg
+from quadpencil import cli, linalg
 from quadpencil.cli import main
 from quadpencil.intutil import next_prime
 
@@ -288,3 +289,89 @@ def test_malformed_input_exits_1_with_one_line(capsys, argv):
 def test_primes_flag_accepts_primes(capsys):
     out = run_json(capsys, "pencil", "h-equiv", "--primes", "5,3", "--json", H_EQUIV_PAYLOAD)
     assert out == {"equivalent": True, "witness": ["1", "0"], "d": "1"}
+
+
+# ---------------------------------------------------------------- parser narrowing
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit included."""
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _usage_cases():
+    """argv that stop at the parser: help, usage errors, unknown names."""
+    cases = [[], ["-h"], ["nope"], ["nope", "-h"]]
+    for group in dict.fromkeys(g for g, cmd, _ in cli.COMMANDS if cmd is not None):
+        cases += [[group], [group, "-h"], [group, "nope"], [group, "nope", "-h"]]
+    for group, cmd, flags in cli.COMMANDS:
+        path = [group] if cmd is None else [group, cmd]
+        required = [x for flag, kw in flags if kw.get("required") for x in (flag, "1")]
+        cases += [path + ["-h"], path + required + ["extra"], path + ["--nope"]]
+        if required:
+            cases += [path, path + required[:-2]]
+    return cases
+
+
+@pytest.mark.parametrize("argv", _usage_cases(), ids=" ".join)
+def test_narrowed_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    narrowed = _call(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert narrowed == _call(capsys, argv)
+    rc, out, err = narrowed
+    if rc == 0:  # help
+        assert out.startswith("usage: ") and err == ""
+    else:
+        assert rc == 1 and out == "" and err.startswith("input error: quadpencil")
+
+
+def _added_parsers(monkeypatch):
+    """A list that fills with (dest, name) for each subparser added from now on."""
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append((self.dest, name))
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return added
+
+
+@pytest.mark.parametrize(("argv", "built"), [
+    (["quad", "hilbert", "--a", "2", "--b", "3", "--place", "3"],
+     [("group", "quad"), ("cmd", "hilbert")]),
+    (["hyper", "--f", "1,0,0,1", "--point", "2,3"], [("group", "hyper")]),
+    (["adj", "nope"], [("group", "adj"), ("cmd", "inv"), ("cmd", "canon"), ("cmd", "conj")]),
+], ids=["command", "group-without-commands", "unknown-command"])
+def test_a_call_builds_only_the_parsers_it_can_reach(capsys, monkeypatch, argv, built):
+    added = _added_parsers(monkeypatch)
+    rc, out, err = run(capsys, *argv)
+    assert rc == (1 if "nope" in argv else 0), err
+    assert added == built
+
+
+def test_full_parser_builds_every_group_and_command(monkeypatch):
+    added = _added_parsers(monkeypatch)
+    cli.build_parser()
+    groups = {}
+    for dest, name in added:
+        if dest == "group":
+            groups[name] = []
+        else:
+            groups[list(groups)[-1]].append(name)
+    assert groups == {
+        "pencil": ["invariant", "to-param", "from-param", "equiv", "h-equiv", "stab",
+                   "real-obstruction", "search"],
+        "integral": ["order", "disc", "ideal", "wood", "canonical", "different"],
+        "hyper": [],
+        "quad": ["iso", "equiv", "hilbert", "spin", "gram", "lift"],
+        "pf": ["pfaffian", "sub", "pi", "stable"],
+        "adj": ["inv", "canon", "conj"],
+        "selftest": [],
+    }

@@ -18,7 +18,7 @@ from quadpencil.etale import (
     euler_trace_solve,
     sqrt_in_algebra,
 )
-from quadpencil.polys import X, is_squarefree, poly_from_ints
+from quadpencil.polys import X, is_squarefree
 
 from util import (
     frac_det,
@@ -45,7 +45,7 @@ def rand_unit(rng, A):
 
 def test_idempotent_splitting():
     for cs in ([-1, 0, 1], [0, -1, 0, 1], [-4, 0, 0, 0, 1]):
-        A = EtaleAlgebra(poly_from_ints(cs))
+        A = EtaleAlgebra(Poly(cs))
         es = A.idempotents()
         assert len(es) == len(A.factors)
         total = A.zero
@@ -59,10 +59,10 @@ def test_idempotent_splitting():
 
 
 def test_component_count_pinned():
-    assert len(EtaleAlgebra(poly_from_ints([-1, 0, 1])).factors) == 2  # x^2 - 1
-    assert len(EtaleAlgebra(poly_from_ints([1, 0, 1])).factors) == 1  # x^2 + 1
+    assert len(EtaleAlgebra(Poly([-1, 0, 1])).factors) == 2  # x^2 - 1
+    assert len(EtaleAlgebra(Poly([1, 0, 1])).factors) == 1  # x^2 + 1
     # (x-1)(x-2)(x^2+1)
-    g = poly_from_ints([-1, 1]) * poly_from_ints([-2, 1]) * poly_from_ints([1, 0, 1])
+    g = Poly([-1, 1]) * Poly([-2, 1]) * Poly([1, 0, 1])
     assert len(EtaleAlgebra(g).factors) == 3
 
 
@@ -124,7 +124,7 @@ def test_inverse():
         A = EtaleAlgebra(random_monic_separable(rng, rng.randint(2, 4)))
         a = rand_unit(rng, A)
         assert a * a.inverse() == A.one
-    A = EtaleAlgebra(poly_from_ints([-1, 0, 1]))
+    A = EtaleAlgebra(Poly([-1, 0, 1]))
     zero_divisor = A.beta - A.one  # vanishes in one component
     assert not zero_divisor.is_unit
     with pytest.raises(DomainError):
@@ -171,16 +171,16 @@ def test_sqrt_of_squares():
 
 
 def test_sqrt_absent():
-    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))  # real quadratic field
+    A = EtaleAlgebra(Poly([-2, 0, 1]))  # real quadratic field
     assert sqrt_in_algebra(A, A.from_rational(-1)) is None
-    B = EtaleAlgebra(poly_from_ints([1, 0, 1]))
+    B = EtaleAlgebra(Poly([1, 0, 1]))
     s = sqrt_in_algebra(B, B.from_rational(-1))
     assert s is not None and s * s == B.from_rational(-1)
 
 
 def test_all_square_roots_count():
     # split algebra with r components: 2^r square roots of 1
-    g = poly_from_ints([-1, 1]) * poly_from_ints([-2, 1]) * poly_from_ints([-3, 1])
+    g = Poly([-1, 1]) * Poly([-2, 1]) * Poly([-3, 1])
     A = EtaleAlgebra(g)
     roots = all_square_roots(A, A.one)
     assert len(roots) == 8
@@ -190,7 +190,7 @@ def test_all_square_roots_count():
 
 
 def test_sqrt_deterministic():
-    A = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
+    A = EtaleAlgebra(Poly([-2, 0, 0, 1]))
     a = A.from_rational(4)
     assert sqrt_in_algebra(A, a) == sqrt_in_algebra(A, a)
 
@@ -302,14 +302,14 @@ def test_one_reduced_representative():
 
 
 def test_inverse_of_zero_divisor_raises():
-    g = poly_from_ints([-1, 1]) * poly_from_ints([1, 0, 1]) * poly_from_ints([-2, 0, 1])
+    g = Poly([-1, 1]) * Poly([1, 0, 1]) * Poly([-2, 0, 1])
     A = EtaleAlgebra(g)
-    for a in (A.zero, A.beta - A.one, A.beta * A.beta + A.one, A.from_poly(g // poly_from_ints([-1, 1]))):
+    for a in (A.zero, A.beta - A.one, A.beta * A.beta + A.one, A.from_poly(g // Poly([-1, 1]))):
         assert not a.is_unit
         with pytest.raises(DomainError, match="element is not invertible"):
             a.inverse()
     with pytest.raises(DomainError, match="element is not invertible"):
-        EtaleAlgebra(poly_from_ints([3, 1])).zero.inverse()
+        EtaleAlgebra(Poly([3, 1])).zero.inverse()
 
 
 def test_charpoly_norm_equals_interpolated_norm():
@@ -376,16 +376,16 @@ def test_sqrt_in_algebra_matches_euclid_reference():
 
 
 def test_sqrt_rejects_element_of_another_algebra():
-    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))
-    B = EtaleAlgebra(poly_from_ints([-3, 0, 1]))
+    A = EtaleAlgebra(Poly([-2, 0, 1]))
+    B = EtaleAlgebra(Poly([-3, 0, 1]))
     for fn in (sqrt_in_algebra, all_square_roots):
         with pytest.raises(DomainError, match="elements of different algebras"):
             fn(A, B.element([2]))
-    assert sqrt_in_algebra(A, EtaleAlgebra(poly_from_ints([-2, 0, 1])).element([2])) == A.beta
+    assert sqrt_in_algebra(A, EtaleAlgebra(Poly([-2, 0, 1])).element([2])) == A.beta
 
 
 def test_sqrt_accepts_rationals():
-    A = EtaleAlgebra(poly_from_ints([-2, 0, 1]))
+    A = EtaleAlgebra(Poly([-2, 0, 1]))
     assert sqrt_in_algebra(A, 4) == A.from_rational(2)
     assert sqrt_in_algebra(A, Fraction(1, 2)) == A.beta * Fraction(1, 2)
     assert sqrt_in_algebra(A, -1) is None
@@ -490,7 +490,7 @@ def test_component_sqrt_skips_primes_where_a_is_not_a_unit(sqrt_route):
     # Euler's criterion at such a prime would call a square a non-square
     first = (3, 5, 7, 11, 13)
     for g in ([1, 0, 1], [-2, 0, 0, 1], [3, 1, 0, 0, 1], [1, -1, 0, 2, 0, 1]):
-        Li = EtaleAlgebra(poly_from_ints(g))
+        Li = EtaleAlgebra(Poly(g))
         c = non_unit_at(Li, first)
         walked = [p for p, *_ in islice(etale._unit_primes(Li.g, (c * c).poly()), 2)]
         assert not set(walked) & set(first), (g, walked)
@@ -507,7 +507,7 @@ NO_INERT_PRIME = [([1, 0, -10, 0, 1], 2), ([576, 0, -960, 0, 352, 0, -40, 0, 1],
 
 def test_component_sqrt_without_inert_prime_lifts_at_several_fields(sqrt_route):
     for g, fields in NO_INERT_PRIME:
-        Li = EtaleAlgebra(poly_from_ints(g))
+        Li = EtaleAlgebra(Poly(g))
         b = Li.beta  # sqrt 2 + sqrt 3 (+ sqrt 5)
         seen = Counter()
         squares = [b * b, (b + 1) * (b + 1), (b * b - 3 * b + Fraction(1, 2)) ** 2]
@@ -522,15 +522,15 @@ def test_component_sqrt_without_inert_prime_lifts_at_several_fields(sqrt_route):
 
 
 def test_component_sqrt_routes(sqrt_route):
-    Li = EtaleAlgebra(poly_from_ints([1, 0, 1]))
+    Li = EtaleAlgebra(Poly([1, 0, 1]))
     assert check_against_trager(sqrt_route, Li, Li.from_rational(3)) == "symbol"
     assert check_against_trager(sqrt_route, Li, Li.from_rational(-1)) == "lift"
     assert check_against_trager(sqrt_route, Li, Li.from_rational(5)) == "bound"
-    K = EtaleAlgebra(poly_from_ints([1, 0, -10, 0, 1]))
+    K = EtaleAlgebra(Poly([1, 0, -10, 0, 1]))
     assert check_against_trager(sqrt_route, K, K.beta * K.beta) == "lift"
     assert check_against_trager(sqrt_route, K, K.from_rational(7)) == "bound"
     # large coordinates verify only after several doublings, non-squares at the bound
-    M = EtaleAlgebra(poly_from_ints([-2, 0, 0, 1]))
+    M = EtaleAlgebra(Poly([-2, 0, 0, 1]))
     c = M.element([Fraction(1234567, 89), Fraction(-2, 3), 99991])
     assert check_against_trager(sqrt_route, M, c * c) == "lift"
     assert check_against_trager(sqrt_route, M, c * c * 11) == "bound"
@@ -585,21 +585,21 @@ def test_integer_inverse_matches_mult_matrix_solve():
 
 
 def test_one_live_algebra_per_g():
-    g = poly_from_ints([11, -4, 0, 1])
+    g = Poly([11, -4, 0, 1])
     A = EtaleAlgebra(g)
     assert EtaleAlgebra(g) is A
     assert EtaleAlgebra(Poly(g.coeffs)) is A
     assert EtaleAlgebra(Poly([Fraction(c) for c in g.coeffs])) is A
     factors = A.factors
     assert EtaleAlgebra(Poly(g.coeffs)).factors is factors
-    assert EtaleAlgebra(poly_from_ints([12, -4, 0, 1])) is not A
+    assert EtaleAlgebra(Poly([12, -4, 0, 1])) is not A
 
 
 def test_rejected_g_is_never_stored():
     bad = {
         Poly([5]): "degree >= 1",
         Poly([1, 2]): "monic",
-        poly_from_ints([-1, 1]) ** 2: "not squarefree",
+        Poly([-1, 1]) ** 2: "not squarefree",
     }
     for g, msg in bad.items():
         for _ in range(3):
@@ -610,7 +610,7 @@ def test_rejected_g_is_never_stored():
 
 
 def test_registry_drops_dead_algebra():
-    g = poly_from_ints([-13, 7, 0, 0, 1])
+    g = Poly([-13, 7, 0, 0, 1])
     A = EtaleAlgebra(g)
     assert etale._LIVE[g] is A
     del A
@@ -655,7 +655,7 @@ def test_inverse_of_inverse_is_the_element():
         assert x.inverse() is a and a * x == A.one
         assert a.inverse() == x  # recomputed: a does not hold x
         assert a / x == a * a and (x ** -2) == a * a
-    A = EtaleAlgebra(poly_from_ints([-1, 0, 1]))
+    A = EtaleAlgebra(Poly([-1, 0, 1]))
     zero_divisor = A.beta - A.one
     for _ in range(2):
         with pytest.raises(DomainError, match="not invertible"):

@@ -8,7 +8,6 @@ from quadpencil import Poly, factor_poly, is_irreducible
 from quadpencil.factor import _gf_ddf, _gf_split, _good_primes, gf_divmod, gf_from_int
 from quadpencil.factor import gf_is_squarefree, gf_monic, gf_mul
 from quadpencil.intutil import next_prime
-from quadpencil.polys import poly_from_ints
 
 # known irreducibles over Q, constant coefficient first
 POOL = [
@@ -25,7 +24,7 @@ POOL = [
 
 
 def as_poly(cs):
-    return poly_from_ints(cs)
+    return Poly(cs)
 
 
 def key(p):
@@ -56,7 +55,7 @@ def test_factor_recovers_known_products():
 
 
 def test_factor_pinned():
-    got = factor_poly(poly_from_ints([-1, 0, 0, 0, 1]))  # x^4 - 1
+    got = factor_poly(Poly([-1, 0, 0, 0, 1]))  # x^4 - 1
     assert [(key(g), m) for g, m in got] == [
         ((Fraction(-1), Fraction(1)), 1),
         ((Fraction(1), Fraction(1)), 1),
@@ -67,11 +66,11 @@ def test_factor_pinned():
 
 
 def test_irreducible_pinned():
-    assert is_irreducible(poly_from_ints([1, 0, 0, 0, 1]))  # x^4 + 1
-    assert is_irreducible(poly_from_ints([1, 0, -10, 0, 1]))  # x^4 - 10x^2 + 1
-    assert is_irreducible(poly_from_ints([1] * 7))  # 1 + x + ... + x^6
-    assert not is_irreducible(poly_from_ints([-1, 0, 0, 0, 1]))
-    assert not is_irreducible(poly_from_ints([1, 2, 1]))
+    assert is_irreducible(Poly([1, 0, 0, 0, 1]))  # x^4 + 1
+    assert is_irreducible(Poly([1, 0, -10, 0, 1]))  # x^4 - 10x^2 + 1
+    assert is_irreducible(Poly([1] * 7))  # 1 + x + ... + x^6
+    assert not is_irreducible(Poly([-1, 0, 0, 0, 1]))
+    assert not is_irreducible(Poly([1, 2, 1]))
 
 
 def gf_all_monic(deg, p):

@@ -10,7 +10,7 @@ from quadpencil import BinaryForm, OrbitParam, g_equivalent, invariant_binary_fo
 from quadpencil import orders
 from quadpencil.errors import DomainError
 from quadpencil.jsonio import ideal_to_json, json_to_ideal
-from quadpencil.linalg import is_symmetric, mat_mul, transpose
+from quadpencil.linalg import is_symmetric, mat_mul
 from quadpencil.orders import (
     OrientedIdeal,
     canonical_odd_orbit,
@@ -43,6 +43,7 @@ from util import (
     reference_pair_valid,
     reference_power_ideal,
     reference_scalar_ideal,
+    transpose,
     unimodular,
 )
 

@@ -15,7 +15,6 @@ from quadpencil.linalg import (
     det,
     hnf,
     inverse,
-    mat,
     mat_mul,
     nullspace,
     solve,
@@ -28,6 +27,7 @@ from quadpencil.quadspace import QuadForm, gram_invariant
 
 from util import (
     frac_det,
+    mat,
     random_invertible,
     reference_charpoly,
     reference_congruence,

@@ -25,7 +25,7 @@ from quadpencil import etale, pencil
 from quadpencil.errors import DomainError
 from quadpencil.etale import AlgElement, all_square_roots
 from quadpencil.linalg import congruence, identity, mat_mul
-from quadpencil.polys import Poly, is_squarefree, poly_from_ints
+from quadpencil.polys import Poly, is_squarefree
 
 from util import (
     frac_det,
@@ -334,9 +334,9 @@ def g_equivalent_all_roots(p1, p2):
 
 
 def product_of(*factors):
-    out = poly_from_ints([1])
+    out = Poly([1])
     for cs in factors:
-        out = out * poly_from_ints(cs)
+        out = out * Poly(cs)
     return out
 
 
@@ -654,7 +654,7 @@ def test_round_trip_factors_g_once(monkeypatch):
         return factor_poly(g)
 
     monkeypatch.setattr(etale, "factor_poly", counted)
-    g = poly_from_ints([-7, 1]) * poly_from_ints([-3, 0, 1]) * poly_from_ints([5, 1, 0, 1])
+    g = Poly([-7, 1]) * Poly([-3, 0, 1]) * Poly([5, 1, 0, 1])
     assert g not in etale._LIVE
     L = EtaleAlgebra(g)
     alpha = L.element([1, 2, 0, -1, 1, 1])

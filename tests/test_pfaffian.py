@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadpencil.errors import DomainError
-from quadpencil.linalg import mat_mul, transpose
+from quadpencil.linalg import mat_mul
 from quadpencil.pfaffian import SkewTriple, pfaffian, pi_invariant, sl5_stable, sub_pfaffian_forms
 
 from util import (
@@ -16,6 +16,7 @@ from util import (
     reference_pi_invariant,
     reference_sub_pfaffian_forms,
     reference_transformed,
+    transpose,
     unimodular,
 )
 

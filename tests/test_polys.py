@@ -11,7 +11,6 @@ from quadpencil.errors import DomainError
 from quadpencil.polys import (
     is_squarefree,
     lagrange_interpolate,
-    poly_from_ints,
     poly_gcd,
     poly_gcdex,
     squarefree_decomposition,
@@ -92,7 +91,7 @@ def test_discriminant_quadratic_formula():
     for _ in range(40):
         a = rng.choice([x for x in range(-6, 7) if x])
         b, c = rng.randint(-6, 6), rng.randint(-6, 6)
-        assert discriminant(poly_from_ints([c, b, a])) == quadratic_disc(a, b, c)
+        assert discriminant(Poly([c, b, a])) == quadratic_disc(a, b, c)
 
 
 def test_discriminant_cubic_formula():
@@ -100,14 +99,14 @@ def test_discriminant_cubic_formula():
     for _ in range(40):
         a = rng.choice([x for x in range(-5, 6) if x])
         b, c, d = (rng.randint(-5, 5) for _ in range(3))
-        assert discriminant(poly_from_ints([d, c, b, a])) == cubic_disc(a, b, c, d)
+        assert discriminant(Poly([d, c, b, a])) == cubic_disc(a, b, c, d)
 
 
 def test_discriminant_pinned():
-    assert discriminant(poly_from_ints([1, 0, 0, 1])) == -27  # x^3 + 1
-    assert discriminant(poly_from_ints([0, -1, 0, 1])) == 4  # x^3 - x
-    assert discriminant(poly_from_ints([-2, 0, 1])) == 8  # x^2 - 2
-    assert discriminant(poly_from_ints([1, 1, 0, 0, 1])) == 229  # x^4 + x + 1
+    assert discriminant(Poly([1, 0, 0, 1])) == -27  # x^3 + 1
+    assert discriminant(Poly([0, -1, 0, 1])) == 4  # x^3 - x
+    assert discriminant(Poly([-2, 0, 1])) == 8  # x^2 - 2
+    assert discriminant(Poly([1, 1, 0, 0, 1])) == 229  # x^4 + x + 1
 
 
 def test_gcd_and_bezout():
@@ -163,17 +162,17 @@ def test_real_root_count_known_roots():
         for r in roots:
             p = p * Poly([Fraction(-r), Fraction(1)])
         if rng.random() < 0.5:
-            p = p * poly_from_ints([1, 0, 1])  # extra complex pair
+            p = p * Poly([1, 0, 1])  # extra complex pair
         if p.degree == 0:
             continue
         assert real_root_count(p) == len(roots)
 
 
 def test_real_root_count_pinned():
-    assert real_root_count(poly_from_ints([1, 0, 1])) == 0  # x^2 + 1
-    assert real_root_count(poly_from_ints([0, -2, 0, 1])) == 3  # x^3 - 2x
-    assert real_root_count(poly_from_ints([1, 0, 0, 0, 1])) == 0  # x^4 + 1
-    assert real_root_count(poly_from_ints([-2, 0, 1])) == 2  # x^2 - 2
+    assert real_root_count(Poly([1, 0, 1])) == 0  # x^2 + 1
+    assert real_root_count(Poly([0, -2, 0, 1])) == 3  # x^3 - 2x
+    assert real_root_count(Poly([1, 0, 0, 0, 1])) == 0  # x^4 + 1
+    assert real_root_count(Poly([-2, 0, 1])) == 2  # x^2 - 2
 
 
 def test_real_root_count_rejects_repeated_roots():

@@ -87,6 +87,14 @@ from quadpencil.pencil import OrbitParam, StabilizerGroup
 from quadpencil.polys import X, Poly, is_squarefree, lagrange_interpolate, poly_gcdex, resultant
 
 
+def mat(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
 def frac_det(rows):
     """Fraction-exact determinant by Gaussian elimination, local to the tests."""
     M = [[Fraction(x) for x in row] for row in rows]
