@@ -21,7 +21,11 @@ precomputed with the order, then take the HNF. When R_f I = I is known and 1
 lies in J, I J = I + sum b I over the rows b of J outside R_f (I = I 1 lies in
 I J, and R_f I = I absorbs the rest), so I_f(1)^k takes 2n generators, not
 n^2. Each ideal keeps its norm once computed and the powers `ideal_pow` has
-computed, so R_f I^k costs one product per new k. Membership is integer
+computed, so R_f I^k costs one product per new k. Each order keeps the I_f(k)
+that `power_ideal` has built, as the integers (den, mat, eps) and the norm, and
+the zeta coordinates of 1, theta, ..., theta^(n-1) they are built from; it
+keeps no OrientedIdeal, which refers to its order, so there is no reference
+cycle and an order is freed as soon as it is dropped. Membership is integer
 forward substitution on mat when it is upper triangular (every HNF), else on
 its HNF, and the norm of an ideal in HNF is the product of that diagonal.
 The module pair of (I, alpha) reads off the same table products: the
@@ -38,22 +42,35 @@ from operator import mul
 from .binforms import BinaryForm
 from .errors import DomainError
 from .etale import EtaleAlgebra
-from .linalg import _clear, det, hnf, vec_mat
+from .linalg import _clear, det, hnf
 from .pencil import SymPair, invariant_binary_form
 
 
 class Order:
-    """R_f: basis zeta_k (integer rows Z in the power basis) and table, read off f."""
+    """R_f: basis zeta_k (integer rows Z in the power basis) and table, read off f.
+
+    `_powers` maps each k that `power_ideal` has built to I_f(k) as
+    (den, mat, eps, norm), integers and a Fraction, and `_thetas` holds
+    (e, rows): the zeta coordinates of theta^0, ..., theta^(n-1), integer
+    rows over one denominator e. Neither
+    holds an OrientedIdeal: an ideal refers to its order, so keeping one here
+    would make a reference cycle (the rule `OrientedIdeal._pows` follows too).
+    """
 
     def __init__(self, f: BinaryForm):
         if not f.is_integral:
             raise DomainError("form must have integer coefficients")
         if f.f0 == 0:
             raise DomainError("f0 = 0")
-        if f.disc() == 0:
-            raise DomainError("form is degenerate")
+        # g = f(x,1)/f0 is monic of degree n, so disc f = 0 exactly when g is
+        # not squarefree: the only DomainError the algebra raises here
+        try:
+            self.algebra = EtaleAlgebra(f.monic_part())
+        except DomainError:
+            raise DomainError("form is degenerate") from None
         self.f = f
-        self.algebra = EtaleAlgebra(f.monic_part())
+        self._thetas = None
+        self._powers = {}
         n = f.n
         a = [int(c) for c in f.coeffs]
         self.Z = [[a[k - m] if 0 < m <= k else int(k == m) for m in range(n)] for k in range(n)]
@@ -107,9 +124,6 @@ class Order:
             for j, z in enumerate(self.Z[m][1:m], 1):
                 c[j] -= q * z
         return (s, c) if s > 0 else (-s, [-x for x in c])
-
-    def from_basis(self, coords):
-        return self.algebra.element(vec_mat(coords, self.Z))
 
     def __eq__(self, other):
         if isinstance(other, Order):
@@ -230,18 +244,29 @@ def unit_ideal(order: Order) -> OrientedIdeal:
 
 
 def power_ideal(order: Order, k: int) -> OrientedIdeal:
-    """I_f(k), 0 <= k <= n-1; signed norm 1/f0^k."""
+    """I_f(k), 0 <= k <= n-1; signed norm 1/f0^k. Built once per order and k:
+    a later call returns a new ideal from the integers the order kept, with
+    its norm set."""
     n = order.n
     if not 0 <= k <= n - 1:
         raise DomainError("k out of range")
+    kept = order._powers.get(k)
+    if kept is not None:
+        den, mat, eps, norm = kept
+        ideal = OrientedIdeal(order, den, mat, eps)
+        ideal.module, ideal._norm = True, norm
+        return ideal
     # the natural basis in zeta coordinates over e: theta^j for j <= k, then zeta_j;
     # lower triangular with diagonal 1, 1/f0 (k times), 1, ..., so eps = sign(f0)^k
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    nat = [order._natural(row, 0) for row in unit[:k + 1]]
-    e = nat[0][0]
-    rows = [c for _, c in nat] + [[e * x for x in row] for row in unit[k + 1:]]
+    if order._thetas is None:
+        nat = [order._natural([int(i == j) for j in range(n)], 0) for i in range(n)]
+        order._thetas = nat[0][0], [tuple(c) for _, c in nat]
+    e, thetas = order._thetas
+    rows = [*thetas[:k + 1], *([e * int(i == j) for j in range(n)] for i in range(k + 1, n))]
     ideal = _ideal_from_rows(order, e, rows, -1 if order.f.f0 < 0 and k % 2 else 1, True)
-    assert ideal.norm() == Fraction(1) / order.f.f0**k
+    norm = ideal.norm()
+    assert norm == Fraction(1) / order.f.f0**k
+    order._powers[k] = (ideal.den, ideal.mat, ideal.eps, norm)
     return ideal
 
 
@@ -387,6 +412,8 @@ def inverse_different_check(order: Order):
     For zeta_i zeta_j both sides are T[i][j] dotted with their values at the
     zeta_k, Z[k] dotted with Tr(theta^m / f'(theta)) and Z[k][n-1] / f0; with
     T[0][k] = e_k, they agree on all products exactly when those values agree.
+    The traces are integers s_m over one D (the numerator of 1/f'(theta)
+    dotted with the algebra's integer traces), so Z[k] s f0 = Z[k][n-1] D.
     """
     n = order.n
     if n < 2:
@@ -394,10 +421,10 @@ def inverse_different_check(order: Order):
     fpinv = order.algebra.from_poly(order.f.dehomogenized().derivative()).inverse()
     Ddual = scalar_ideal(fpinv, power_ideal(order, n - 2))
     contained = Ddual._holds(1, *([int(i == j) for j in range(n)] for i in range(n)))
-    shifted = [fpinv.trace(shift=m) for m in range(n)]
-    traces = [sum(map(mul, row, shifted)) for row in order.Z]
-    tops = [Fraction(row[n - 1], order.f.f0) for row in order.Z]
-    assert traces == tops
+    q, eK = order.algebra._trace_ints()
+    p, f0 = fpinv.poly(), int(order.f.f0)
+    s, D = [sum(map(mul, p.num, q[m:])) for m in range(n)], p.den * eK
+    assert all(sum(map(mul, row, s)) * f0 == row[n - 1] * D for row in order.Z)
     index = Fraction(1) / abs(Ddual.norm())
     assert index.denominator == 1
     return contained, int(index)

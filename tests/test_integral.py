@@ -1,13 +1,15 @@
 """The distinguished order of an integral form, its power ideals, and the
 module description of integral pairs."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from quadpencil import BinaryForm, OrbitParam, g_equivalent, invariant_binary_form, pencil_to_param
-from quadpencil import orders
+from quadpencil import etale, orders
 from quadpencil.errors import DomainError
 from quadpencil.jsonio import ideal_to_json, json_to_ideal
 from quadpencil.linalg import is_symmetric, mat_mul
@@ -27,10 +29,12 @@ from quadpencil.orders import (
     scalar_ideal,
     unit_ideal,
 )
+from quadpencil.polys import Poly
 
 from util import (
     ReferenceOrder,
     frac_det,
+    from_basis,
     order_basis,
     random_integral_form,
     reference_ideal_mul,
@@ -640,7 +644,7 @@ def test_to_basis_matches_inverse_basis_matrix():
                 [Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(n)])
             coords = O.to_basis(x)
             assert coords == R.to_basis(x)
-            assert O.from_basis(coords) == x
+            assert from_basis(O, coords) == x
 
 
 def test_integer_coordinates_with_negative_f0():
@@ -671,6 +675,65 @@ def test_power_ideals_match_element_route():
         O = form_order(f)
         for k in range(O.n):
             assert _key(power_ideal(O, k)) == _key(reference_power_ideal(O, R, k))
+
+
+def test_power_ideals_are_built_once_per_order(monkeypatch):
+    # every k asked twice: one HNF per k, and each call a new ideal equal to
+    # the element route's, with its module bit and norm set
+    calls, hnf = [], orders.hnf
+    monkeypatch.setattr(orders, "hnf", lambda rows: calls.append(1) or hnf(rows))
+    for f, R in CLOSED_FORM:
+        O = form_order(f)
+        calls.clear()
+        built = []
+        for k in [*range(O.n)] * 2:
+            I = power_ideal(O, k)
+            assert all(I is not J for J in built)
+            built.append(I)
+            assert I == reference_power_ideal(O, R, k)
+            assert I.module and I._norm == Fraction(1) / f.f0**k
+        assert len(calls) == O.n
+
+
+def test_order_is_freed_without_the_cycle_collector():
+    # the order keeps its power ideals as integers, not as ideals (which refer
+    # to their order), so once dropped it is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for f in (F2357, BinaryForm([-3, 1, 0, 2, -1, 5])):
+            O = form_order(f)
+            for k in range(O.n):
+                power_ideal(O, k)
+            inverse_different_check(O)
+            canonical_odd_orbit(O)
+            ref = weakref.ref(O)
+            del O
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_degenerate_forms_are_rejected_and_leave_no_algebra():
+    # a squared factor of degree 1 or 2 times a cofactor, at n = 2..6; the
+    # rejected monic part is never kept as a live algebra
+    rng = random.Random(90)
+    for n in range(2, 7):
+        for d in (1, 2)[:n // 2]:
+            for _ in range(3):
+                p = Poly([rng.randint(-4, 4) for _ in range(d)] + [rng.choice((-2, -1, 1, 3))]) ** 2
+                p = p * Poly([rng.randint(-3, 3) for _ in range(n - 2 * d)] + [rng.choice((1, -5))])
+                f = BinaryForm([int(c) for c in reversed(p.coeffs)])
+                assert f.n == n and f.disc() == 0
+                with pytest.raises(DomainError, match="^form is degenerate$"):
+                    form_order(f)
+                assert f.monic_part() not in etale._LIVE
+    assert form_order(BinaryForm([3, -2])).n == 1
+    # coefficients are checked first, then f0, then degeneracy
+    with pytest.raises(DomainError, match="integer coefficients"):
+        form_order(BinaryForm([Fraction(1, 2), 1, Fraction(1, 2)]))
+    with pytest.raises(DomainError, match="^f0 = 0$"):
+        form_order(BinaryForm([0, 0, 1]))
 
 
 def test_inverse_different_matches_element_route():
@@ -801,7 +864,7 @@ def test_contains_matches_fraction_solve():
                 if kind:
                     p = rng.choice((2, 3)) if kind == 2 else 1
                     x[rng.randrange(n)] += Fraction(1, p * I.den)
-                e = O.from_basis(x)
+                e = from_basis(O, x)
                 got = I.contains(e)
                 assert got == reference_contains(I, e), (I, x)
                 assert got or kind

@@ -208,6 +208,14 @@ def order_basis(order):
     return [order.algebra.element(row) for row in order.Z]
 
 
+def from_basis(order, coords):
+    """The algebra element with the given zeta coordinates: coords dotted
+    with the rows of Z, in the power basis."""
+    n = order.n
+    return order.algebra.element(
+        [sum((c * row[m] for c, row in zip(coords, order.Z)), Fraction(0)) for m in range(n)])
+
+
 def ideal_basis(I):
     """The basis of I as algebra elements: each row over den, summed over
     the zeta_k of the order as algebra elements."""
